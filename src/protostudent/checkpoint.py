@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,7 +25,19 @@ VERSION = 1
 
 
 class CorruptCheckpointError(RuntimeError):
-    """Magic, version, shape bookkeeping, or CRC verification failed."""
+    """Magic, version, manifest, shape bookkeeping, or CRC verification
+    failed."""
+
+
+@contextmanager
+def _manifest_errors():
+    """Report a manifest that is not UTF-8 JSON, or lacks a field the
+    loader reads, as a corrupt checkpoint (UnicodeDecodeError and
+    JSONDecodeError are ValueErrors)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as err:
+        raise CorruptCheckpointError(f"bad manifest: {err!r}") from err
 
 
 def _write(path, manifest: dict, tensors: dict):
@@ -58,9 +71,11 @@ def _read(path) -> tuple:
     pos += 8
     if pos + blob_len > len(data):
         raise CorruptCheckpointError("truncated manifest")
-    manifest = json.loads(data[pos:pos + blob_len].decode("utf-8"))
+    with _manifest_errors():
+        manifest = json.loads(data[pos:pos + blob_len].decode("utf-8"))
+        specs = [(spec["name"], [int(d) for d in spec["shape"]]) for spec in manifest["tensors"]]
     pos += blob_len
-    need = sum(int(np.prod(t["shape"])) for t in manifest["tensors"]) * 8
+    need = sum(int(np.prod(shape)) for _, shape in specs) * 8
     if pos + need + 4 > len(data):
         raise CorruptCheckpointError("truncated payload")
     payload = data[pos:pos + need]
@@ -69,10 +84,10 @@ def _read(path) -> tuple:
         raise CorruptCheckpointError("payload CRC mismatch")
     tensors = {}
     off = 0
-    for spec in manifest["tensors"]:
-        count = int(np.prod(spec["shape"]))
+    for name, shape in specs:
+        count = int(np.prod(shape))
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
-        tensors[spec["name"]] = arr.reshape(spec["shape"]).astype(np.float64)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
         off += count * 8
     return manifest, tensors
 
@@ -107,14 +122,15 @@ def load_teacher(path) -> TeacherModel:
     manifest, tensors = _read(path)
     if manifest.get("kind") != "teacher":
         raise CorruptCheckpointError("not a teacher checkpoint")
-    config = EncoderConfig.from_dict(manifest["encoder"])
-    enc = _load_encoder("encoder", config, tensors)
-    teacher = TeacherModel(encoder=enc,
-                           w=Tensor(tensors["classifier.w"].copy(), requires_grad=True),
-                           b=Tensor(tensors["classifier.b"].copy(), requires_grad=True),
-                           class_count=int(manifest["class_count"]),
-                           train_accuracy=float(manifest.get("train_accuracy", 0.0)),
-                           val_accuracy=float(manifest.get("val_accuracy", 0.0)))
+    with _manifest_errors():
+        config = EncoderConfig.from_dict(manifest["encoder"])
+        enc = _load_encoder("encoder", config, tensors)
+        teacher = TeacherModel(encoder=enc,
+                               w=Tensor(tensors["classifier.w"].copy(), requires_grad=True),
+                               b=Tensor(tensors["classifier.b"].copy(), requires_grad=True),
+                               class_count=int(manifest["class_count"]),
+                               train_accuracy=float(manifest.get("train_accuracy", 0.0)),
+                               val_accuracy=float(manifest.get("val_accuracy", 0.0)))
     return teacher
 
 
@@ -141,19 +157,20 @@ def load_student(path) -> StudentModel:
     manifest, tensors = _read(path)
     if manifest.get("kind") != "student":
         raise CorruptCheckpointError("not a student checkpoint")
-    config = EncoderConfig.from_dict(manifest["encoder"])
-    enc = _load_encoder("encoder", config, tensors)
-    store = PrototypeStore(ids=np.asarray(manifest["prototype_ids"], dtype=np.int64),
-                           images=tensors["store.images"].copy(),
-                           labels=np.asarray(manifest["prototype_labels"], dtype=np.int64),
-                           m_weights=Tensor(tensors["store.m"].copy(), requires_grad=True))
-    head = HeadModel(kind=manifest["head_kind"],
-                     w=Tensor(tensors["head.w"].copy(), requires_grad=True),
-                     b=Tensor(tensors["head.b"].copy(), requires_grad=True),
-                     conv1d_w=Tensor(tensors["head.conv1d_w"].copy(), requires_grad=True)
-                     if "head.conv1d_w" in tensors else None,
-                     prototype_refs=store)
-    student = StudentModel(encoder=enc, head=head, store=store,
-                           class_count=int(manifest["class_count"]))
+    with _manifest_errors():
+        config = EncoderConfig.from_dict(manifest["encoder"])
+        enc = _load_encoder("encoder", config, tensors)
+        store = PrototypeStore(ids=np.asarray(manifest["prototype_ids"], dtype=np.int64),
+                               images=tensors["store.images"].copy(),
+                               labels=np.asarray(manifest["prototype_labels"], dtype=np.int64),
+                               m_weights=Tensor(tensors["store.m"].copy(), requires_grad=True))
+        head = HeadModel(kind=manifest["head_kind"],
+                         w=Tensor(tensors["head.w"].copy(), requires_grad=True),
+                         b=Tensor(tensors["head.b"].copy(), requires_grad=True),
+                         conv1d_w=Tensor(tensors["head.conv1d_w"].copy(), requires_grad=True)
+                         if "head.conv1d_w" in tensors else None,
+                         prototype_refs=store)
+        student = StudentModel(encoder=enc, head=head, store=store,
+                               class_count=int(manifest["class_count"]))
     student.refresh_store_features()
     return student

@@ -2,7 +2,8 @@
 
 Commands write their artifacts (checkpoints, heatmaps, CSV/JSON reports)
 under the configured output directory. Exit codes: 0 success, 2 config
-validation failure, 3 numerical failure during a run.
+validation failure or a file the command cannot read or write (a missing
+or corrupt checkpoint included), 3 numerical failure during a run.
 """
 from __future__ import annotations
 
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
     except (ParameterError, PruningError, ReplacementError, ConfigurationError,
             DatasetError, DimensionError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except (OSError, ckpt.CorruptCheckpointError) as err:
+        print(f"input error: {err}", file=sys.stderr)
         return 2
 
 

@@ -84,7 +84,7 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
     separately; bias halves join their respective pools. All-zero pools
     contribute nothing.
     """
-    from .tensor import _im2col_plan  # shared geometry cache
+    from .tensor import _col2im_add, _im2col_plan  # shared conv geometry
 
     a = np.asarray(a, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -117,9 +117,9 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
     fac_pos = coeff_pos * _safe_ratio(r2, pos_tot)
     fac_neg = coeff_neg * _safe_ratio(r2, neg_tot)
     r_cols = np.einsum("fml,fl->ml", pos, fac_pos) - np.einsum("fml,fl->ml", neg, fac_neg)
-    r_pad = np.bincount(idx.ravel(), weights=r_cols.ravel(),
-                        minlength=c * hp * wp).reshape(c, hp, wp)
-    return r_pad[:, pad:hp - pad, pad:wp - pad] if pad else r_pad
+    r_pad = np.zeros((1, c, hp, wp))
+    _col2im_add(r_pad, r_cols[None], kh, kw, stride)
+    return r_pad[0, :, pad:hp - pad, pad:wp - pad] if pad else r_pad[0]
 
 
 def encoder_lrp(records: list, r_features: np.ndarray, params: LrpParams) -> np.ndarray:

@@ -297,22 +297,6 @@ def transpose(t, axes) -> Tensor:
     return _node(out, (t,), bw)
 
 
-def concat(ts, axis=0) -> Tensor:
-    ts = [_as_tensor(t) for t in ts]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-
-    def bw(g):
-        off = 0
-        for t, s in zip(ts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(off, off + s)
-            _accum(t, g[tuple(idx)])
-            off += s
-
-    return _node(out, tuple(ts), bw)
-
-
 def split_rows(t, sizes) -> list:
     """Split along axis 0 into consecutive chunks of the given sizes."""
     t = _as_tensor(t)
@@ -562,11 +546,37 @@ def _im2col_plan(c, h, w, kh, kw, stride, pad):
     return plan
 
 
+def _col2im_add(dst, cols, kh, kw, stride):
+    """Adjoint of the im2col gather: add columns [t, C*kh*kw, H2*W2] into
+    the padded maps dst [t, C, Hp, Wp], one strided slice-add per kernel
+    tap."""
+    t, c, hp, wp = dst.shape
+    h2 = (hp - kh) // stride + 1
+    w2 = (wp - kw) // stride + 1
+    taps = cols.reshape(t, c, kh, kw, h2, w2)
+    for i in range(kh):
+        for j in range(kw):
+            dst[:, :, i:i + stride * (h2 - 1) + 1:stride,
+                j:j + stride * (w2 - 1) + 1:stride] += taps[:, :, i, j]
+
+
+# Byte budget of one batch tile's im2col buffer [t, C*kh*kw, H2*W2], so a
+# tile stays in a 2 MiB L2 cache next to its padded input and GEMM output.
+# On the benchmark's train workload (2-vCPU Xeon, one BLAS thread) 512 KiB
+# ran fastest; 256 KiB (more tiles) and 1 to 2 MiB (cache spills) were
+# 3 to 7% slower.
+_TILE_BYTES = 1 << 19
+
+
 def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation.
 
     x: [C,H,W] or [N,C,H,W]; kernel: [F,C,kh,kw]; bias: [F] or None.
     Output spatial extents follow floor((H + 2*pad - kh)/stride) + 1.
+
+    The batch is processed in tiles whose im2col buffer fits _TILE_BYTES;
+    the backward pass gathers each tile's columns again instead of keeping
+    them, so no call holds a whole-batch column buffer.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if stride < 1:
@@ -580,32 +590,45 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {c}, kernel {ck}")
     idx, hp, wp, h2, w2 = _im2col_plan(c, h, w, kh, kw, stride, pad)
-    if pad:
-        xp = np.zeros((n, c, hp, wp))
-        xp[:, :, pad:hp - pad, pad:wp - pad] = xd
-    else:
-        xp = xd
-    cols = xp.reshape(n, c * hp * wp)[:, idx]  # [N, M, L]
-    k2 = kernel.data.reshape(f, c * kh * kw)
-    out = _einsum_cached("fm,nml->nfl", k2, cols)
+    m, l = idx.shape
+    tile = max(1, min(n, _TILE_BYTES // (m * l * 8)))
+    k2 = kernel.data.reshape(f, m)
     if bias is not None:
         bias = _as_tensor(bias)
-        out += bias.data[None, :, None]
+    xp = np.zeros((tile, c, hp, wp))  # padded tile; the border stays zero
+    cols = np.empty((tile, m, l))
+
+    def tiles():
+        """Yield (start, stop, columns [t, M, L]) for each batch tile."""
+        for s in range(0, n, tile):
+            e = min(n, s + tile)
+            xp[:e - s, :, pad:pad + h, pad:pad + w] = xd[s:e]
+            # every index is in range; mode="clip" lets take write into
+            # `out` directly, where the default mode would buffer
+            np.take(xp[:e - s].reshape(e - s, -1), idx, axis=1, out=cols[:e - s], mode="clip")
+            yield s, e, cols[:e - s]
+
+    out = np.empty((n, f, l))
+    for s, e, ct in tiles():
+        np.matmul(k2, ct, out=out[s:e])
+        if bias is not None:
+            out[s:e] += bias.data[:, None]
     out = out.reshape(n, f, h2, w2)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(g):
-        g2 = (g[None] if squeeze else g).reshape(n, f, h2 * w2)
+        g2 = (g[None] if squeeze else g).reshape(n, f, l)
         if kernel.requires_grad:
-            dk = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
+            dk = np.zeros((f, m))
+            for s, e, ct in tiles():
+                dk += np.matmul(g2[s:e], ct.transpose(0, 2, 1)).sum(axis=0)
             _accum(kernel, dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = _einsum_cached("fm,nfl->nml", k2, g2)
-            tgt = (np.arange(n, dtype=np.int64) * (c * hp * wp))[:, None, None] + idx[None]
-            dxp = np.bincount(tgt.ravel(), weights=dcols.ravel(),
-                              minlength=n * c * hp * wp).reshape(n, c, hp, wp)
+            dxp = np.zeros((n, c, hp, wp))
+            for s in range(0, n, tile):
+                _col2im_add(dxp[s:s + tile], np.matmul(k2.T, g2[s:s + tile]), kh, kw, stride)
             dx = dxp[:, :, pad:hp - pad, pad:wp - pad] if pad else dxp
             _accum(x, dx[0] if squeeze else dx)
 

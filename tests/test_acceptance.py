@@ -27,6 +27,8 @@ from protostudent.tensor import Tensor
 
 from conftest import micro_student
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (0, 1, 2)
 # desk-scale rates: hundreds of optimizer steps rather than tens of
 # thousands, so larger rates and no mid-run decay; the attention heads

@@ -107,3 +107,56 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptCheckpointError):
             load_student(path)
+
+    def _rewrite_manifest(self, path, edit):
+        """Replace the manifest by edit(manifest bytes), keeping the payload
+        and its CRC, so only the manifest is wrong."""
+        data = path.read_bytes()
+        head = len(MAGIC) + 12
+        blob_len, = struct.unpack_from("<Q", data, len(MAGIC) + 4)
+        blob = edit(data[head:head + blob_len])
+        path.write_bytes(data[:len(MAGIC) + 4] + struct.pack("<Q", len(blob)) + blob
+                         + data[head + blob_len:])
+
+    def _drop_key(self, key):
+        def edit(blob):
+            manifest = json.loads(blob)
+            del manifest[key]
+            return json.dumps(manifest).encode("utf-8")
+        return edit
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[20] = 0xFF  # inside the manifest
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError):
+            load_student(path)
+
+    def test_non_json_manifest_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_manifest(path, lambda blob: b"x" * len(blob))
+        with pytest.raises(CorruptCheckpointError):
+            load_student(path)
+
+    def test_non_object_manifest_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_manifest(path, lambda blob: b"[1, 2, 3]")
+        with pytest.raises(CorruptCheckpointError):
+            load_student(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "encoder", "prototype_ids", "head_kind",
+                                     "class_count"])
+    def test_manifest_missing_key_rejected(self, tmp_path, key):
+        path = self._saved(tmp_path)
+        self._rewrite_manifest(path, self._drop_key(key))
+        with pytest.raises(CorruptCheckpointError):
+            load_student(path)
+
+    @pytest.mark.parametrize("key", ["encoder", "class_count"])
+    def test_teacher_manifest_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "t.ckpt"
+        save_teacher(path, tiny_teacher())
+        self._rewrite_manifest(path, self._drop_key(key))
+        with pytest.raises(CorruptCheckpointError):
+            load_teacher(path)

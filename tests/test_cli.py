@@ -63,6 +63,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig.load(None, {"p_fraction": 1.5})
 
+    def test_missing_teacher_exit_2_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["train-student", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "teacher.ckpt" in err and len(err.splitlines()) == 1
+
     def test_defaults_follow_training_recipe(self):
         cfg = RunConfig()
         assert (cfg.lambda1, cfg.lambda2, cfg.lambda3) == (1.0, 1.0, 0.1)

@@ -66,6 +66,73 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
+class TestConv2dTiles:
+    """Batches spanning several im2col tiles, the last one partial, against
+    the loop oracle and against the same op applied image by image through
+    the 3-D path (a single tile)."""
+
+    @staticmethod
+    def _tiles_of(monkeypatch, per_tile, c, h, kh, stride, pad):
+        cols = T._im2col_plan(c, h, h, kh, kh, stride, pad)[0].size
+        monkeypatch.setattr(T, "_TILE_BYTES", per_tile * cols * 8)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_per_image(self, monkeypatch, stride, pad, with_bias):
+        rng = np.random.default_rng([stride, pad, with_bias])
+        n, c, h, f, kh = 7, 2, 7, 3, 3
+        self._tiles_of(monkeypatch, 3, c, h, kh, stride, pad)  # tiles of 3, 3, 1
+        x = Tensor(rng.standard_normal((n, c, h, h)), requires_grad=True)
+        k = Tensor(rng.standard_normal((f, c, kh, kh)), requires_grad=True)
+        b = Tensor(rng.standard_normal(f), requires_grad=True) if with_bias else None
+        out = T.conv2d(x, k, b, stride=stride, pad=pad)
+        shift = 0.0 if b is None else b.data[:, None, None]
+        seed = rng.standard_normal(out.shape)
+        out.backward(seed)
+        dk = np.zeros_like(k.data)
+        db = np.zeros(f)
+        for i in range(n):
+            np.testing.assert_allclose(out.data[i], conv2d_loops(x.data[i], k.data, stride, pad)
+                                       + shift, atol=1e-12)
+            xi = Tensor(x.data[i], requires_grad=True)
+            ki = Tensor(k.data, requires_grad=True)
+            bi = None if b is None else Tensor(b.data, requires_grad=True)
+            one = T.conv2d(xi, ki, bi, stride=stride, pad=pad)
+            np.testing.assert_allclose(one.data, out.data[i], atol=1e-12)
+            one.backward(seed[i])
+            np.testing.assert_allclose(x.grad[i], xi.grad, atol=1e-12)
+            dk += ki.grad
+            if b is not None:
+                db += bi.grad
+        np.testing.assert_allclose(k.grad, dk, atol=1e-12)
+        if b is not None:
+            np.testing.assert_allclose(b.grad, db, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_gradients_across_tiles(self, monkeypatch, stride):
+        rng = np.random.default_rng([stride, 13])
+        self._tiles_of(monkeypatch, 2, 2, 5, 3, stride, 1)  # tiles of 2, 2, 1
+        x = Tensor(rng.standard_normal((5, 2, 5, 5)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+
+        def fn():
+            return T.tsum(T.square(T.conv2d(x, k, b, stride=stride, pad=1)))
+
+        assert T.grad_check(fn, [x, k, b], h=1e-5) < 1e-4
+
+    def test_default_budget_splits_large_batch(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((9, 3, 32, 32))
+        k = rng.standard_normal((2, 3, 3, 3))
+        per_image = T._im2col_plan(3, 32, 32, 3, 3, 1, 1)[0].size * 8
+        assert 1 <= T._TILE_BYTES // per_image < 9  # several tiles, the last partial
+        out = T.conv2d(Tensor(x), Tensor(k), stride=1, pad=1).data
+        for i in range(9):
+            np.testing.assert_allclose(out[i], conv2d_loops(x[i], k, 1, 1), atol=1e-12)
+
+
 class TestSimplePrimitives:
     def test_softmax_uniform(self):
         out = T.softmax(Tensor(np.zeros(3)), axis=-1)
