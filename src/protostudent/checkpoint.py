@@ -2,9 +2,14 @@
 
 Layout: magic "PBSN1", format version (u32 LE), manifest length (u64 LE),
 UTF-8 JSON manifest, payload of little-endian float64 arrays concatenated
-in manifest order, CRC32 of the payload (u32 LE). The manifest names
-every tensor with its shape plus the head kind, prototype ids/labels, and
-encoder configuration, so a load rebuilds the exact model.
+in manifest order, CRC32 of every byte before it (u32 LE). The manifest
+names every tensor with its shape plus the head kind, prototype
+ids/labels, and encoder configuration, so a load rebuilds the exact model.
+
+The CRC covers the header and the manifest as well as the payload, and is
+checked before the manifest is parsed, so an edited prototype label or
+tensor shape is rejected like a flipped payload bit. Version 1 files,
+whose CRC covered the payload only, are rejected.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from .replacement import PrototypeStore
 from .tensor import Tensor
 
 MAGIC = b"PBSN1"
-VERSION = 1
+VERSION = 2
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -48,40 +53,35 @@ def _write(path, manifest: dict, tensors: dict):
     payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
                        for arr in tensors.values())
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    head = MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        fh.write(head)
         fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 def _read(path) -> tuple:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(MAGIC) + 12 or not data.startswith(MAGIC):
+    pos = len(MAGIC) + 12
+    if len(data) < pos + 4 or not data.startswith(MAGIC):
         raise CorruptCheckpointError("bad magic")
-    pos = len(MAGIC)
-    version, = struct.unpack_from("<I", data, pos)
+    version, blob_len = struct.unpack_from("<IQ", data, len(MAGIC))
     if version != VERSION:
-        raise CorruptCheckpointError(f"unsupported format version {version}")
-    pos += 4
-    blob_len, = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    if pos + blob_len > len(data):
+        raise CorruptCheckpointError(f"unsupported format version {version} (this build reads {VERSION})")
+    end = len(data) - 4
+    crc, = struct.unpack_from("<I", data, end)
+    if crc != zlib.crc32(memoryview(data)[:end]):
+        raise CorruptCheckpointError("CRC mismatch: corrupt or truncated file")
+    if pos + blob_len > end:
         raise CorruptCheckpointError("truncated manifest")
     with _manifest_errors():
         manifest = json.loads(data[pos:pos + blob_len].decode("utf-8"))
         specs = [(spec["name"], [int(d) for d in spec["shape"]]) for spec in manifest["tensors"]]
     pos += blob_len
-    need = sum(int(np.prod(shape)) for _, shape in specs) * 8
-    if pos + need + 4 > len(data):
-        raise CorruptCheckpointError("truncated payload")
-    payload = data[pos:pos + need]
-    crc, = struct.unpack_from("<I", data, pos + need)
-    if crc != zlib.crc32(payload):
-        raise CorruptCheckpointError("payload CRC mismatch")
+    if pos + sum(int(np.prod(shape)) for _, shape in specs) * 8 != end:
+        raise CorruptCheckpointError("payload size does not match the manifest")
+    payload = data[pos:end]
     tensors = {}
     off = 0
     for name, shape in specs:
@@ -168,8 +168,7 @@ def load_student(path) -> StudentModel:
                          w=Tensor(tensors["head.w"].copy(), requires_grad=True),
                          b=Tensor(tensors["head.b"].copy(), requires_grad=True),
                          conv1d_w=Tensor(tensors["head.conv1d_w"].copy(), requires_grad=True)
-                         if "head.conv1d_w" in tensors else None,
-                         prototype_refs=store)
+                         if "head.conv1d_w" in tensors else None)
         student = StudentModel(encoder=enc, head=head, store=store,
                                class_count=int(manifest["class_count"]))
     student.refresh_store_features()

@@ -7,7 +7,7 @@ and runtime knobs are artifact choices.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -63,10 +63,6 @@ class RunConfig:
     explain_samples: int = 2
     sweep: list = field(default_factory=lambda: [5, 10, 20])
 
-    @property
-    def k_total(self) -> int:
-        return self.protos_per_class * self.classes
-
     def validate(self):
         from .heads import HEAD_KINDS
         if self.head not in HEAD_KINDS:
@@ -96,9 +92,6 @@ class RunConfig:
         if self.image_size % self.region:
             raise ConfigError("region", "must divide image_size")
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def load(path=None, overrides: dict | None = None) -> "RunConfig":

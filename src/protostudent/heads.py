@@ -43,7 +43,6 @@ class HeadModel:
     w: Tensor                 # [class_count, K]
     b: Tensor                 # [class_count]
     conv1d_w: Tensor | None   # [C], elementwise >= 0, Head III only
-    prototype_refs: object = None
 
     @property
     def params(self) -> list:

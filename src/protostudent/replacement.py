@@ -50,10 +50,6 @@ class PrototypeStore:
     def __len__(self):
         return len(self.ids)
 
-    def class_histogram(self) -> dict:
-        vals, counts = np.unique(self.labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
 
 @dataclass
 class ReplacementConfig:
@@ -195,7 +191,6 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
     enc = teacher.encoder.copy()
     c_feat = enc.config.feature_shape()[0]
     head = make_head(head_kind, k, classes, c_feat, seed=config.seed)
-    head.prototype_refs = store
     student = StudentModel(encoder=enc, head=head, store=store, class_count=classes)
 
     opt = SGD([{"params": enc.params, "lr": config.lr_encoder},
@@ -290,8 +285,7 @@ def prune(student: StudentModel, fraction: float) -> StudentModel:
                          w=Tensor(student.head.w.data[:, keep].copy(), requires_grad=True),
                          b=Tensor(student.head.b.data.copy(), requires_grad=True),
                          conv1d_w=None if student.head.conv1d_w is None
-                         else Tensor(student.head.conv1d_w.data.copy(), requires_grad=True),
-                         prototype_refs=new_store)
+                         else Tensor(student.head.conv1d_w.data.copy(), requires_grad=True))
     pruned = StudentModel(encoder=student.encoder.copy(), head=new_head,
                           store=new_store, class_count=student.class_count)
     pruned.refresh_store_features()

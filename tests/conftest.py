@@ -36,7 +36,6 @@ def micro_student(kind: str, seed: int = 0, k: int = 4, classes: int = 2,
     store = PrototypeStore(ids=np.arange(k), images=images,
                            labels=labels.astype(np.int64),
                            m_weights=Tensor(m, requires_grad=True))
-    head.prototype_refs = store
     student = StudentModel(encoder=enc, head=head, store=store, class_count=classes)
     student.refresh_store_features()
     return student

@@ -2,9 +2,11 @@
 and corruption rejection."""
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protostudent.checkpoint import (MAGIC, CorruptCheckpointError,
                                      load_student, load_teacher, save_student,
@@ -108,15 +110,21 @@ class TestCorruption:
         with pytest.raises(CorruptCheckpointError):
             load_student(path)
 
+    @staticmethod
+    def _reseal(path, body):
+        """Write body with a valid CRC, so the CRC check passes and the
+        loader's own parsing has to reject what is wrong in the body."""
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
     def _rewrite_manifest(self, path, edit):
         """Replace the manifest by edit(manifest bytes), keeping the payload
-        and its CRC, so only the manifest is wrong."""
+        and sealing a fresh CRC, so only the manifest is wrong."""
         data = path.read_bytes()
         head = len(MAGIC) + 12
         blob_len, = struct.unpack_from("<Q", data, len(MAGIC) + 4)
         blob = edit(data[head:head + blob_len])
-        path.write_bytes(data[:len(MAGIC) + 4] + struct.pack("<Q", len(blob)) + blob
-                         + data[head + blob_len:])
+        self._reseal(path, data[:len(MAGIC) + 4] + struct.pack("<Q", len(blob)) + blob
+                     + data[head + blob_len:-4])
 
     def _drop_key(self, key):
         def edit(blob):
@@ -129,7 +137,7 @@ class TestCorruption:
         path = self._saved(tmp_path)
         data = bytearray(path.read_bytes())
         data[20] = 0xFF  # inside the manifest
-        path.write_bytes(bytes(data))
+        self._reseal(path, bytes(data[:-4]))
         with pytest.raises(CorruptCheckpointError):
             load_student(path)
 
@@ -160,3 +168,48 @@ class TestCorruption:
         self._rewrite_manifest(path, self._drop_key(key))
         with pytest.raises(CorruptCheckpointError):
             load_teacher(path)
+
+    def test_manifest_label_flip_rejected(self, tmp_path):
+        """A prototype label edited inside the manifest, with the file
+        length and the payload unchanged, fails the CRC."""
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        old = b'"prototype_labels": [0, 1, 0, 1]'
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, b'"prototype_labels": [1, 1, 0, 1]'))
+        with pytest.raises(CorruptCheckpointError, match="CRC"):
+            load_student(path)
+
+    def test_version_1_rejected_by_name(self, tmp_path):
+        """A version 1 file (CRC over the payload only) is refused, and the
+        error names the version."""
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        blob_len, = struct.unpack_from("<Q", data, len(MAGIC) + 4)
+        payload = data[len(MAGIC) + 12 + blob_len:-4]
+        v1 = bytearray(data[:-4] + struct.pack("<I", zlib.crc32(payload)))
+        struct.pack_into("<I", v1, len(MAGIC), 1)
+        path.write_bytes(bytes(v1))
+        with pytest.raises(CorruptCheckpointError, match="version 1"):
+            load_student(path)
+
+
+@pytest.fixture(scope="module")
+def saved_student(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "s.ckpt"
+    save_student(path, micro_student("III-B", seed=6))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), flip=st.integers(1, 255))
+def test_any_single_byte_flip_rejected(saved_student, data, flip):
+    """Whatever byte of a checkpoint changes (magic, version, length,
+    manifest, payload or the CRC itself), the load fails loudly."""
+    path, good = saved_student
+    pos = data.draw(st.integers(0, len(good) - 1), label="pos")
+    bad = bytearray(good)
+    bad[pos] ^= flip
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CorruptCheckpointError):
+        load_student(path)

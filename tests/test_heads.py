@@ -1,10 +1,13 @@
 """Similarity heads: hand-computed values, dominance and range
 invariants, permutation symmetry, and gradient checks."""
+import sys
+
 import numpy as np
 import pytest
 
 from protostudent import heads as H
 from protostudent import tensor as T
+from protostudent.encoder import EncoderConfig
 from protostudent.heads import (ConfigurationError, HeadModel, head_forward,
                                 sim_I, sim_IIA, sim_IIB, attention,
                                 sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
@@ -254,6 +257,28 @@ class TestHeadForward:
             _, rec = student.forward(rng.random((20, 2, 4, 4)))
             assert (rec.z.data >= -1e-12).all() and (rec.z.data <= 1 + 1e-12).all()
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", ["III-A", "III-B", "III-C"])
+    def test_attended_matches_pair_oracles(self, kind, batch):
+        """The batched contraction gives, for every (input, prototype)
+        pair, the attended vector of the per-pair oracle."""
+        config = EncoderConfig(in_channels=2, blocks=((5, 2, 1),), input_size=(5, 5))
+        student = micro_student(kind, seed=16, k=5, config=config)
+        x = np.random.default_rng(17).random((batch, 2, 5, 5))
+        _, rec = student.forward(x)
+        fxs = student.encoder.encode(x)
+        fps = student.store.features.data
+        for b, fx in enumerate(fxs):
+            for k, fp in enumerate(fps):
+                smap, arg = sim_IIB(fx, fp)
+                if kind == "III-A":
+                    want = sim_IIIA(fx, fp, attention(sim_IIA(fx, fp)))
+                elif kind == "III-B":
+                    want = sim_IIIB(fx, fp, attention(smap), arg)
+                else:
+                    want = sim_IIIC(fx, fp, attention(smap), attn_IIIC(fx, fp))
+                np.testing.assert_allclose(rec.attended.data[b, k], want, rtol=0, atol=1e-12)
+
     def test_conv_weight_clipping_after_step(self):
         student = micro_student("III-A", seed=11)
         student.head.conv1d_w.data[...] = 0.01
@@ -286,3 +311,21 @@ class TestHeadGradients:
             return T.tsum(T.square(T.softmax(logits, axis=1)))
 
         assert T.grad_check(fn, params, h=1e-6) < 1e-4
+
+    def test_iiib_step_runs_without_path_search(self, monkeypatch):
+        """A III-B forward and backward never ask numpy for a contraction
+        path: each einsum on the tape is one plain pass (a path search
+        made III-B training several times slower)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("contraction path search on the tape")
+
+        # np.einsum(optimize=...) looks einsum_path up in its own module
+        einsumfunc = sys.modules.get("numpy._core.einsumfunc") or sys.modules["numpy.core.einsumfunc"]
+        monkeypatch.setattr(einsumfunc, "einsum_path", refuse)
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        student = micro_student("III-B", seed=18)
+        x = np.random.default_rng(19).random((3, 2, 4, 4))
+        student.refresh_store_features(build_graph=True)
+        logits, _ = head_forward(student.encoder.forward(Tensor(x)), student.store, student.head)
+        T.tsum(T.square(logits)).backward()
+        assert all(p.grad is not None for p in student.params)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from protostudent import tensor as T
+from protostudent.heads import HEAD_KINDS
 from protostudent.tensor import DimensionError, EvaluationError, Tensor
+
+from conftest import micro_student
+
+# every contraction heads.head_forward passes to T.einsum; pinned to the
+# code by test_head_einsum_specs_listed
+HEAD_EINSUM_SPECS = ("bki,bci,kci->bkc", "bki,bci,bkci->bkc", "bkc,c->bk")
 
 
 def conv2d_loops(x, k, stride, pad):
@@ -261,6 +268,36 @@ class TestGradients:
             return T.tsum(T.square(T.einsum("bci,kci,bki->bkc", a, b, c)))
 
         self._check(fn, [a, b, c])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("spec", HEAD_EINSUM_SPECS)
+    def test_head_einsum_gradients(self, spec, seed):
+        """Every operand's gradient of each head contraction against
+        central differences, at distinct extents per index letter."""
+        rng = np.random.default_rng([seed, 10])
+        extent = {"b": 2, "k": 3, "c": 4, "i": 5}
+        ops = [Tensor(rng.standard_normal([extent[ch] for ch in part]), requires_grad=True)
+               for part in spec.split("->")[0].split(",")]
+
+        def fn():
+            return T.tsum(T.square(T.einsum(spec, *ops)))
+
+        self._check(fn, ops)
+
+    def test_head_einsum_specs_listed(self, monkeypatch):
+        """HEAD_EINSUM_SPECS holds exactly the specs head_forward uses."""
+        seen = set()
+        plain = T.einsum
+
+        def recording(spec, *tensors):
+            seen.add(spec)
+            return plain(spec, *tensors)
+
+        monkeypatch.setattr(T, "einsum", recording)
+        rng = np.random.default_rng(14)
+        for kind in HEAD_KINDS:
+            micro_student(kind, seed=15).forward(rng.random((2, 2, 4, 4)))
+        assert seen == set(HEAD_EINSUM_SPECS)
 
     def test_log_softmax_gradient(self):
         rng = np.random.default_rng(11)
