@@ -10,6 +10,11 @@ The CRC covers the header and the manifest as well as the payload, and is
 checked before the manifest is parsed, so an edited prototype label or
 tensor shape is rejected like a flipped payload bit. Version 1 files,
 whose CRC covered the payload only, are rejected.
+
+A file with a valid CRC is also checked against itself: encoder tensor
+shapes against the encoder configuration and, for students, the
+prototype count, class count, label range and head kind across the
+manifest and the tensors.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .encoder import Encoder, EncoderConfig, TeacherModel
-from .heads import HeadModel, StudentModel
+from .heads import HEAD_KINDS, HeadModel, StudentModel
 from .replacement import PrototypeStore
 from .tensor import Tensor
 
@@ -101,8 +106,12 @@ def _encoder_tensors(prefix: str, enc: Encoder, out: dict):
 def _load_encoder(prefix: str, config: EncoderConfig, tensors: dict) -> Encoder:
     enc = Encoder(config)
     for i, (k, b) in enumerate(zip(enc.kernels, enc.biases)):
-        k.data = tensors[f"{prefix}.block{i}.kernel"].copy()
-        b.data = tensors[f"{prefix}.block{i}.bias"].copy()
+        for name, param in ((f"{prefix}.block{i}.kernel", k), (f"{prefix}.block{i}.bias", b)):
+            arr = tensors[name]
+            if arr.shape != param.shape:
+                raise CorruptCheckpointError(f"{name} has shape {list(arr.shape)}, "
+                                             f"the encoder config implies {list(param.shape)}")
+            param.data = arr.copy()
     return enc
 
 
@@ -153,12 +162,38 @@ def save_student(path, student: StudentModel):
                   "prototype_labels": [int(c) for c in store.labels]}, tensors)
 
 
+def _check_student(manifest: dict, tensors: dict):
+    """Reject a well-formed file whose parts disagree with each other:
+    prototype counts, class counts, label range, head tensors by kind."""
+    kind = manifest["head_kind"]
+    classes = int(manifest["class_count"])
+    labels = [int(c) for c in manifest["prototype_labels"]]
+    w = tensors["head.w"]
+    if kind not in HEAD_KINDS:
+        raise CorruptCheckpointError(f"unknown head kind {kind!r}")
+    if w.ndim != 2 or w.shape[0] != classes:
+        raise CorruptCheckpointError(f"head.w has shape {list(w.shape)}, "
+                                     f"expected {classes} rows (class_count)")
+    counts = {"k": int(manifest["k"]), "prototype_ids": len(manifest["prototype_ids"]),
+              "prototype_labels": len(labels), "store.images rows": len(tensors["store.images"]),
+              "store.m": tensors["store.m"].size, "head.w columns": w.shape[1]}
+    if len(set(counts.values())) != 1:
+        raise CorruptCheckpointError(f"prototype counts disagree: {counts}")
+    bad = [c for c in labels if not 0 <= c < classes]
+    if bad:
+        raise CorruptCheckpointError(f"prototype labels {bad} outside [0, {classes})")
+    if ("head.conv1d_w" in tensors) != kind.startswith("III"):
+        state = "present" if "head.conv1d_w" in tensors else "missing"
+        raise CorruptCheckpointError(f"head.conv1d_w {state} for head {kind}")
+
+
 def load_student(path) -> StudentModel:
     manifest, tensors = _read(path)
     if manifest.get("kind") != "student":
         raise CorruptCheckpointError("not a student checkpoint")
     with _manifest_errors():
         config = EncoderConfig.from_dict(manifest["encoder"])
+        _check_student(manifest, tensors)
         enc = _load_encoder("encoder", config, tensors)
         store = PrototypeStore(ids=np.asarray(manifest["prototype_ids"], dtype=np.int64),
                                images=tensors["store.images"].copy(),

@@ -291,7 +291,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--prune-fraction", dest="prune_fraction", type=float, default=None)
         cmd.add_argument("--region", type=int, default=None)
         cmd.add_argument("--steps", type=int, default=None)
-        cmd.add_argument("--policy", type=str, default=None, choices=["relevance", "random"])
         cmd.add_argument("--epochs", type=int, default=None)
         cmd.add_argument("--sweep", type=str, default=None, help="comma list of protos per class")
     return parser
@@ -301,7 +300,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in
                  ("seed", "head", "protos_per_class", "out_dir", "topk", "explain_samples",
-                  "outlier_setup", "prune_fraction", "region", "steps", "policy", "epochs")}
+                  "outlier_setup", "prune_fraction", "region", "steps", "epochs")}
     if args.kprime is not None:
         overrides["kprime"] = [int(v) for v in args.kprime.split(",") if v]
     if args.sweep is not None:

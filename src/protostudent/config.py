@@ -57,7 +57,6 @@ class RunConfig:
     stroke_count: int = 3
     region: int = 4
     steps: int = 15
-    policy: str = "relevance"
     prune_fraction: float = 0.3
     finetune_epochs: int = 3
     explain_samples: int = 2
@@ -79,8 +78,6 @@ class RunConfig:
             raise ConfigError("lrp_alpha", "need alpha > 0 and beta >= 0")
         if self.outlier_setup not in ("A", "B", "C"):
             raise ConfigError("outlier_setup", "must be A, B, or C")
-        if self.policy not in ("relevance", "random"):
-            raise ConfigError("policy", "must be relevance or random")
         if not 0.0 < self.prune_fraction < 1.0:
             raise ConfigError("prune_fraction", "must be in (0, 1)")
         for name in ("lambda1", "lambda2", "lambda3"):

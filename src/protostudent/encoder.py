@@ -102,8 +102,11 @@ class Encoder:
             return self.forward(Tensor(arr)).data
 
     def forward_recorded(self, image: np.ndarray) -> tuple:
-        """Forward one image collecting per-block inputs for relevance
-        propagation. Returns (features [C,H,W], records)."""
+        """Forward one image [C0,H0,W0] or a batch [N,C0,H0,W0] collecting
+        per-block inputs for relevance propagation. Returns (features, records):
+        features are [C,H,W] for one image and [N,C,H,W] for a batch, and
+        each record's "input" has the matching [..., C_in, H_in, W_in] shape.
+        Batch rows equal what one-image calls give."""
         a = np.asarray(image, dtype=np.float64)
         records = []
         with T.no_grad():

@@ -9,6 +9,15 @@ layer input and the other side's factor as fixed weights, and the full
 relevance is propagated independently down each side, which is what the
 paired heatmaps visualize. Attention maps are constants during
 propagation.
+
+The alpha/beta rule is computed sign-split: a contribution k*c is
+positive exactly when k and c share a sign, so with k+/k- and c+/c- the
+clamped kernel and input columns the positive pool is k+@c+ + k-@c- and
+the negative pool k+@c- + k-@c+, and relevance returns through the
+transposed clamped kernels. No per-connection [F, C*kh*kw, H*W] tensor is
+built. One explain call runs one ranking forward, one recorded encoder
+forward over the input and its k prototypes, and one relevance sweep over
+the 2k stacked sides.
 """
 from __future__ import annotations
 
@@ -78,37 +87,39 @@ def lrp_linear_eps(a: np.ndarray, w: np.ndarray, b, r_out: np.ndarray,
 
 def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarray,
                        params: LrpParams, stride: int, pad: int) -> np.ndarray:
-    """Alpha/beta rule through one conv layer for a single sample.
+    """Alpha/beta rule through one conv layer, for one sample a [C,H,W]
+    with r_out [F,H2,W2] or a batch a [N,C,H,W] with r_out [N,F,H2,W2].
 
     Positive and negative pre-activation contributions are normalized
     separately; bias halves join their respective pools. All-zero pools
-    contribute nothing.
+    contribute nothing. The pools and the returned relevance are sums of
+    four GEMMs over the sign-clamped kernel and input columns (module
+    docstring), gathered once for the whole batch.
     """
     from .tensor import _col2im_add, _im2col_plan  # shared conv geometry
 
     a = np.asarray(a, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     r_out = np.asarray(r_out, dtype=np.float64)
-    c, h, w = a.shape
+    squeeze = a.ndim == 3
+    if squeeze:
+        a, r_out = a[None], r_out[None]
+    n, c, h, w = a.shape
     f, _, kh, kw = kernel.shape
     idx, hp, wp, h2, w2 = _im2col_plan(c, h, w, kh, kw, stride, pad)
-    if pad:
-        ap = np.zeros((c, hp, wp))
-        ap[:, pad:hp - pad, pad:wp - pad] = a
-    else:
-        ap = a
-    cols = ap.reshape(c * hp * wp)[idx]            # [M, L]
+    ap = np.zeros((n, c, hp, wp))
+    ap[:, :, pad:pad + h, pad:pad + w] = a
+    cols = np.take(ap.reshape(n, c * hp * wp), idx, axis=1)   # [N, M, L]
+    cp, cn = np.maximum(cols, 0.0), np.minimum(cols, 0.0)
     k2 = kernel.reshape(f, c * kh * kw)
-    contrib = k2[:, :, None] * cols[None, :, :]    # [F, M, L]
-    pos = np.maximum(contrib, 0.0)
-    neg = np.minimum(contrib, 0.0)
-    pos_tot = pos.sum(axis=1)
-    neg_tot = neg.sum(axis=1)
+    kp, kn = np.maximum(k2, 0.0), np.minimum(k2, 0.0)
+    pos_tot = kp @ cp + kn @ cn                    # [N, F, L]
+    neg_tot = kp @ cn + kn @ cp
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         pos_tot += np.maximum(bias, 0.0)[:, None]
         neg_tot += np.minimum(bias, 0.0)[:, None]
-    r2 = r_out.reshape(f, h2 * w2)
+    r2 = r_out.reshape(n, f, h2 * w2)
     # alpha - beta = 1 balances the two pools against each other; when one
     # pool is empty the other takes the whole relevance (net coefficient 1)
     # so single-signed outputs stay conservative
@@ -116,15 +127,18 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
     coeff_neg = np.where(pos_tot != 0.0, params.beta, -1.0)
     fac_pos = coeff_pos * _safe_ratio(r2, pos_tot)
     fac_neg = coeff_neg * _safe_ratio(r2, neg_tot)
-    r_cols = np.einsum("fml,fl->ml", pos, fac_pos) - np.einsum("fml,fl->ml", neg, fac_neg)
-    r_pad = np.zeros((1, c, hp, wp))
-    _col2im_add(r_pad, r_cols[None], kh, kw, stride)
-    return r_pad[0, :, pad:hp - pad, pad:wp - pad] if pad else r_pad[0]
+    r_cols = (cp * (kp.T @ fac_pos - kn.T @ fac_neg)
+              + cn * (kn.T @ fac_pos - kp.T @ fac_neg))
+    r_pad = np.zeros((n, c, hp, wp))
+    _col2im_add(r_pad, r_cols, kh, kw, stride)
+    r_in = r_pad[:, :, pad:hp - pad, pad:wp - pad] if pad else r_pad
+    return r_in[0] if squeeze else r_in
 
 
 def encoder_lrp(records: list, r_features: np.ndarray, params: LrpParams) -> np.ndarray:
     """Walk the recorded conv blocks backwards down to pixel space. ReLU
-    boundaries pass relevance through unchanged."""
+    boundaries pass relevance through unchanged. r_features is [C,H,W] or
+    a batch [N,C,H,W] matching the records' inputs."""
     r = r_features
     for rec in reversed(records):
         r = lrp_conv_alphabeta(rec["input"], rec["kernel"], rec["bias"], r,
@@ -141,20 +155,26 @@ def _avgpool_lrp(features: np.ndarray, r_pooled: np.ndarray, eps: float) -> np.n
     return features / (h * w) * factor[:, None, None]
 
 
-def _forward_state(student: StudentModel, x: np.ndarray, k: int):
-    """Single-sample forward with everything relevance needs recorded."""
+def _forward_state(student: StudentModel, x: np.ndarray, ks: list, fwd=None):
+    """Forward x with everything relevance needs for prototypes ks recorded.
+
+    fwd is a (logits, record) pair from student.forward(x[None]) when the
+    caller already ran it. One recorded encoder forward covers x and the
+    prototype images; "records" holds its per-block batches in that order.
+    """
     store = student.store
-    if not 0 <= k < len(store):
-        raise PropagationError(f"prototype index {k} out of range")
+    for k in ks:
+        if not 0 <= k < len(store):
+            raise PropagationError(f"prototype index {k} out of range")
     if store.features is None:
         student.refresh_store_features()
-    fx, x_records = student.encoder.forward_recorded(x)
-    fp, p_records = student.encoder.forward_recorded(store.images[k])
-    logits, rec = student.forward(x[None])
+    feats, records = student.encoder.forward_recorded(
+        np.concatenate([x[None], store.images[ks]]))
+    logits, rec = fwd or student.forward(x[None])
     y = logits.data[0]
     if not np.isfinite(y).all():
         raise PropagationError("logits are non-finite; model state unusable")
-    return {"fx": fx, "fp": fp, "x_records": x_records, "p_records": p_records,
+    return {"fx": feats[0], "fp": dict(zip(ks, feats[1:])), "records": records,
             "y": y, "rec": rec, "c_star": int(y.argmax())}
 
 
@@ -168,7 +188,7 @@ def relevance_at_similarity(student: StudentModel, x: np.ndarray, k: int,
     III: the length-C attended similarity vector.
     """
     params = params or LrpParams()
-    st = state or _forward_state(student, x, k)
+    st = state or _forward_state(student, np.asarray(x, dtype=np.float64), [k])
     rec, y, c_star = st["rec"], st["y"], st["c_star"]
     eps = params.epsilon
     kind = student.head.kind
@@ -212,7 +232,7 @@ def _similarity_split(student: StudentModel, k: int, r_sim: np.ndarray,
         r_gx = gxh * gph * factor
         r_gp = r_gx.copy()  # same products; the sides diverge downstream
         r_fx = _avgpool_lrp(st["fx"], r_gx, eps)
-        r_fp = _avgpool_lrp(st["fp"], r_gp, eps)
+        r_fp = _avgpool_lrp(st["fp"][k], r_gp, eps)
         return r_fx, r_fp
 
     fxh = rec.fxh.data[0].reshape(c, hw)
@@ -257,6 +277,32 @@ def _similarity_split(student: StudentModel, k: int, r_sim: np.ndarray,
     raise PropagationError(f"unknown head kind {kind!r}")
 
 
+def _pairs(student: StudentModel, x: np.ndarray, ks: list, params: LrpParams | None,
+           relevance_scale: float = 1.0, fwd=None) -> list:
+    """Heatmap pairs for (x, prototype k) for every k in ks, from one
+    recorded forward and one relevance sweep over the stacked sides."""
+    if not ks:
+        return []
+    params = params or LrpParams()
+    x = np.asarray(x, dtype=np.float64)
+    st = _forward_state(student, x, ks, fwd)
+    r_sims = [relevance_at_similarity(student, x, k, params, state=st) * relevance_scale
+              for k in ks]
+    sides = [_similarity_split(student, k, r, st, params.epsilon) for k, r in zip(ks, r_sims)]
+    n = len(ks)
+    # rows 0..n-1 are the input sides (record row 0), rows n..2n-1 the
+    # prototype sides (record rows 1..n)
+    rows = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n + 1)])
+    records = [dict(r, input=r["input"][rows]) for r in st["records"]]
+    r_top = np.stack([side[0] for side in sides] + [side[1] for side in sides])
+    heat = encoder_lrp(records, r_top, params).sum(axis=1)
+    u = u_from_record(st["rec"])[0]
+    return [RelevancePair(prototype_index=k, r_sim=r_sims[j],
+                          heat_input=heat[j], heat_proto=heat[n + j],
+                          u_value=float(u[k]), predicted_class=st["c_star"])
+            for j, k in enumerate(ks)]
+
+
 def heatmaps(student: StudentModel, x: np.ndarray, k: int,
              params: LrpParams | None = None,
              relevance_scale: float = 1.0) -> RelevancePair:
@@ -265,25 +311,17 @@ def heatmaps(student: StudentModel, x: np.ndarray, k: int,
     relevance_scale multiplies the seed relevance at the logit; heatmaps
     are linear in it.
     """
-    params = params or LrpParams()
-    st = _forward_state(student, np.asarray(x, dtype=np.float64), k)
-    r_sim = relevance_at_similarity(student, x, k, params, state=st) * relevance_scale
-    r_fx, r_fp = _similarity_split(student, k, r_sim, st, params.epsilon)
-    heat_in = encoder_lrp(st["x_records"], r_fx, params).sum(axis=0)
-    heat_pr = encoder_lrp(st["p_records"], r_fp, params).sum(axis=0)
-    u = float(u_from_record(st["rec"])[0, k])
-    return RelevancePair(prototype_index=k, r_sim=r_sim,
-                         heat_input=heat_in, heat_proto=heat_pr,
-                         u_value=u, predicted_class=st["c_star"])
+    return _pairs(student, x, [k], params, relevance_scale)[0]
 
 
 def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
             params: LrpParams | None = None) -> list:
-    """Heatmap pairs for the top-k prototypes ranked by similarity score."""
-    rec = student.forward(np.asarray(x, dtype=np.float64)[None])[1]
-    u = u_from_record(rec)[0]
+    """Heatmap pairs for the top-k prototypes ranked by similarity score;
+    the ranking forward is reused for every pair."""
+    fwd = student.forward(np.asarray(x, dtype=np.float64)[None])
+    u = u_from_record(fwd[1])[0]
     order = np.argsort(-u, kind="stable")[:topk]
-    return [heatmaps(student, x, int(k), params) for k in order]
+    return _pairs(student, x, [int(k) for k in order], params, fwd=fwd)
 
 
 def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
@@ -292,7 +330,9 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
 
     Magnitudes are normalized per pair by max |relevance|; with
     scaled=True the intensity is additionally multiplied by the pair's
-    similarity score so weaker matches render dimmer.
+    similarity score so weaker matches render dimmer. Each sidecar
+    carries the side's conservation residual |sum(heat) - sum(r_sim)| /
+    |sum(r_sim)|, or null when sum(r_sim) is 0.
     """
     import json
     import zlib
@@ -301,6 +341,7 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
     from .imagefiles import write_pgm16
 
     basepath = Path(basepath)
+    r_sim = float(np.sum(pair.r_sim))
     peak = max(np.abs(pair.heat_input).max(), np.abs(pair.heat_proto).max())
     gain = (pair.u_value if scaled else 1.0) / peak if peak > 0 else 0.0
     written = []
@@ -312,7 +353,9 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
         sidecar = {"k": pair.prototype_index, "u_k": pair.u_value,
                    "class": pair.predicted_class,
                    "min": float(heat.min()), "max": float(heat.max()),
-                   "checksum": checksum}
+                   "checksum": checksum,
+                   "conservation_residual":
+                       abs(float(heat.sum()) - r_sim) / abs(r_sim) if r_sim else None}
         meta = basepath.parent / f"{basepath.name}_{side}.json"
         meta.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         written.extend([pgm, meta])

@@ -194,6 +194,80 @@ class TestCorruption:
             load_student(path)
 
 
+class TestSelfConsistency:
+    """Files with a valid CRC whose manifest disagrees with itself or with
+    the tensors are refused with a named reason."""
+
+    _rewrite_manifest = TestCorruption._rewrite_manifest
+    _reseal = staticmethod(TestCorruption._reseal)
+
+    def _edit(self, tmp_path, change, kind="I"):
+        path = tmp_path / "s.ckpt"
+        save_student(path, micro_student(kind, seed=5))
+
+        def edit(blob):
+            manifest = json.loads(blob)
+            change(manifest)
+            return json.dumps(manifest, sort_keys=True).encode("utf-8")
+        self._rewrite_manifest(path, edit)
+        return path
+
+    def test_label_outside_class_range_rejected(self, tmp_path):
+        path = self._edit(tmp_path, lambda m: m.update(prototype_labels=[7, 1, 0, 1]))
+        with pytest.raises(CorruptCheckpointError, match=r"labels \[7\] outside \[0, 2\)"):
+            load_student(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m.update(k=5),
+        lambda m: m.update(prototype_ids=m["prototype_ids"][:3]),
+        lambda m: m.update(prototype_labels=m["prototype_labels"][:3]),
+    ], ids=["k", "ids", "labels"])
+    def test_prototype_count_mismatch_rejected(self, tmp_path, change):
+        path = self._edit(tmp_path, change)
+        with pytest.raises(CorruptCheckpointError, match="prototype counts disagree"):
+            load_student(path)
+
+    def test_head_rows_against_class_count_rejected(self, tmp_path):
+        path = self._edit(tmp_path, lambda m: m.update(class_count=3))
+        with pytest.raises(CorruptCheckpointError, match="class_count"):
+            load_student(path)
+
+    def test_wrong_kernel_shape_rejected(self, tmp_path):
+        """Same element count, so the payload size still matches."""
+        def change(m):
+            spec = next(t for t in m["tensors"] if t["name"] == "encoder.block0.kernel")
+            assert spec["shape"] == [3, 2, 2, 2]
+            spec["shape"] = [2, 3, 2, 2]
+        path = self._edit(tmp_path, change)
+        with pytest.raises(CorruptCheckpointError, match="encoder.block0.kernel"):
+            load_student(path)
+
+    @pytest.mark.parametrize("saved,claimed,state", [("I", "III-A", "missing"),
+                                                     ("III-B", "II-A", "present")])
+    def test_conv1d_weights_against_head_kind_rejected(self, tmp_path, saved, claimed, state):
+        path = self._edit(tmp_path, lambda m: m.update(head_kind=claimed), kind=saved)
+        with pytest.raises(CorruptCheckpointError, match=f"conv1d_w {state}"):
+            load_student(path)
+
+    def test_unknown_head_kind_rejected(self, tmp_path):
+        path = self._edit(tmp_path, lambda m: m.update(head_kind="IV"))
+        with pytest.raises(CorruptCheckpointError, match="unknown head kind 'IV'"):
+            load_student(path)
+
+    def test_cli_maps_inconsistent_checkpoint_to_exit_2(self, tmp_path, capsys):
+        from protostudent.cli import main
+        out = tmp_path / "out"
+        out.mkdir()
+        self._edit(out, lambda m: m.update(prototype_labels=[7, 1, 0, 1]))
+        (out / "s.ckpt").rename(out / "student.ckpt")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(out), "classes": 2, "n_per_class": 2,
+                                   "n_test_per_class": 2, "image_size": 8}))
+        assert main(["explain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "outside [0, 2)" in err
+
+
 @pytest.fixture(scope="module")
 def saved_student(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "s.ckpt"

@@ -59,6 +59,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, lrp_alpha=2.0, lrp_beta=0.7)
         assert main(["train-teacher", "--config", str(path)]) == 2
 
+    def test_policy_is_not_a_setting(self, tmp_path, capsys):
+        """perturb-eval always runs both policies, so a config "policy"
+        key is an unknown field and --policy is not a flag."""
+        path = write_config(tmp_path, policy="random")
+        assert main(["perturb-eval", "--config", str(path)]) == 2
+        assert "policy" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb-eval", "--policy", "random"])
+        assert exc.value.code == 2
+
     def test_loader_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             RunConfig.load(None, {"p_fraction": 1.5})
@@ -119,6 +129,23 @@ class TestPipelineArtifacts:
         second = {f.name: zlib.crc32(f.read_bytes())
                   for f in (root / "out" / "heatmaps").glob("*.pgm")}
         assert first == second
+
+    def test_explain_sidecars_carry_residual_and_repeat_bytes(self, pipeline):
+        """Every sidecar carries the side's conservation residual, and two
+        explain runs write byte-identical heatmaps and sidecars."""
+        root, path = pipeline
+        runs = []
+        for _ in range(2):
+            assert main(["explain", "--config", str(path)]) == 0
+            runs.append({f.name: f.read_bytes()
+                         for f in (root / "out" / "heatmaps").glob("sample*")})
+        assert runs[0] == runs[1]
+        sidecars = [json.loads(data) for name, data in runs[0].items()
+                    if name.endswith(".json")]
+        assert len(sidecars) == 2 * 3 * 2  # samples x topk x sides
+        for meta in sidecars:
+            residual = meta["conservation_residual"]
+            assert residual is None or (np.isfinite(residual) and residual >= 0.0)
 
     def test_outlier_eval_csv_and_summary(self, pipeline):
         root, path = pipeline

@@ -67,6 +67,23 @@ class TestEncoder:
         np.testing.assert_allclose(feats, enc.encode(img), atol=0)
         assert len(records) == len(SMALL.blocks)
 
+    @pytest.mark.parametrize("config,n", [(SMALL, 4), (EncoderConfig(), 11)],
+                             ids=["small", "default-across-conv-tiles"])
+    def test_recorded_forward_batch_matches_single_calls(self, config, n):
+        """A batch gives, image for image, the features and record inputs
+        of one-image calls; 11 default-size images span two conv2d tiles."""
+        enc = Encoder(config, seed=8)
+        imgs = np.random.default_rng(9).random((n, config.in_channels, *config.input_size))
+        feats, records = enc.forward_recorded(imgs)
+        assert feats.shape == (n, *config.feature_shape())
+        for i, img in enumerate(imgs):
+            one_feats, one_records = enc.forward_recorded(img)
+            np.testing.assert_array_equal(feats[i], one_feats)
+            for rec, one in zip(records, one_records):
+                assert rec["input"].shape == (n, *one["input"].shape)
+                np.testing.assert_array_equal(rec["input"][i], one["input"])
+                assert (rec["stride"], rec["pad"]) == (one["stride"], one["pad"])
+
 
 class TestTeacherTraining:
     def test_separable_two_class_accuracy(self):

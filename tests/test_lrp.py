@@ -1,14 +1,18 @@
 """Relevance propagation: rule-level values, conv-as-matrix oracle,
 conservation ledgers, and heatmap structure."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protostudent import tensor as T
-from protostudent.encoder import EncoderConfig
-from protostudent.lrp import (LrpParams, PropagationError, explain, heatmaps,
-                              lrp_conv_alphabeta, lrp_linear_eps,
+from protostudent.encoder import Encoder, EncoderConfig
+from protostudent.heads import StudentModel
+from protostudent.lrp import (LrpParams, PropagationError, explain, export_pair,
+                              heatmaps, lrp_conv_alphabeta, lrp_linear_eps,
                               relevance_at_similarity)
-from protostudent.tensor import Tensor
+from protostudent.tensor import Tensor, _im2col_plan
 
 from conftest import MICRO_CONFIG, micro_student
 
@@ -55,7 +59,72 @@ class TestLinearEps:
         np.testing.assert_array_equal(r, 0.0)
 
 
+def alphabeta_oracle(a, kernel, bias, r_out, params, stride, pad):
+    """The alpha/beta conv rule for one sample [C,H,W], written with the
+    per-connection contribution tensor [F, C*kh*kw, H2*W2] and an
+    np.add.at col2im."""
+    c, h, w = a.shape
+    f, _, kh, kw = kernel.shape
+    idx, hp, wp, h2, w2 = _im2col_plan(c, h, w, kh, kw, stride, pad)
+    ap = np.zeros((c, hp, wp))
+    ap[:, pad:pad + h, pad:pad + w] = a
+    cols = ap.reshape(-1)[idx]
+    contrib = kernel.reshape(f, -1)[:, :, None] * cols[None, :, :]
+    pos = np.maximum(contrib, 0.0)
+    neg = np.minimum(contrib, 0.0)
+    pos_tot = pos.sum(axis=1)
+    neg_tot = neg.sum(axis=1)
+    if bias is not None:
+        pos_tot += np.maximum(bias, 0.0)[:, None]
+        neg_tot += np.minimum(bias, 0.0)[:, None]
+    r2 = r_out.reshape(f, h2 * w2)
+
+    def ratio(num, den):
+        return np.where(den != 0.0, num / np.where(den != 0.0, den, 1.0), 0.0)
+
+    fac_pos = np.where(neg_tot != 0.0, params.alpha, 1.0) * ratio(r2, pos_tot)
+    fac_neg = np.where(pos_tot != 0.0, params.beta, -1.0) * ratio(r2, neg_tot)
+    r_cols = np.einsum("fml,fl->ml", pos, fac_pos) - np.einsum("fml,fl->ml", neg, fac_neg)
+    r_pad = np.zeros(c * hp * wp)
+    np.add.at(r_pad, idx, r_cols)
+    return r_pad.reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w]
+
+
 class TestConvAlphaBeta:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 3),
+           f=st.integers(1, 4), kh=st.integers(1, 3), kw=st.integers(1, 3),
+           extra_h=st.integers(0, 4), extra_w=st.integers(0, 4),
+           stride=st.integers(1, 2), pad=st.integers(0, 1), with_bias=st.booleans(),
+           positive_kernel=st.booleans(), zero_share=st.sampled_from([0.0, 0.3, 0.7]))
+    def test_batched_sign_split_matches_oracle(self, seed, n, c, f, kh, kw, extra_h, extra_w,
+                                               stride, pad, with_bias, positive_kernel,
+                                               zero_share):
+        """The batched sign-split rule equals the per-sample contribution
+        tensor oracle: signed inputs with exact zeros, biases on and off,
+        and all-positive kernels, whose negative pool is empty wherever
+        the input is nonnegative."""
+        rng = np.random.default_rng(seed)
+        h, w = kh + extra_h, kw + extra_w
+        a = rng.standard_normal((n, c, h, w))
+        a[rng.random(a.shape) < zero_share] = 0.0
+        kernel = rng.standard_normal((f, c, kh, kw))
+        if positive_kernel:
+            kernel = np.abs(kernel)
+            a[0] = np.abs(a[0])  # single-signed contributions for one sample
+        bias = rng.standard_normal(f) if with_bias else None
+        h2 = (h + 2 * pad - kh) // stride + 1
+        w2 = (w + 2 * pad - kw) // stride + 1
+        r_out = rng.standard_normal((n, f, h2, w2))
+        params = LrpParams(1.7, 0.7, 1e-3)
+        got = lrp_conv_alphabeta(a, kernel, bias, r_out, params, stride, pad)
+        assert got.shape == a.shape
+        for i in range(n):
+            want = alphabeta_oracle(a[i], kernel, bias, r_out[i], params, stride, pad)
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+            one = lrp_conv_alphabeta(a[i], kernel, bias, r_out[i], params, stride, pad)
+            np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+
     def test_all_positive_exact_conservation(self):
         rng = np.random.default_rng(1)
         a = rng.random((2, 3, 3)) + 0.1
@@ -221,7 +290,7 @@ class TestHeatmaps:
         st_logits, rec = student.forward(x[None])
         sel = set(int(v) for v in rec.argmax_p[0, 0])
         from protostudent.lrp import _forward_state, _similarity_split
-        st = _forward_state(student, x, 0)
+        st = _forward_state(student, x, [0])
         r_sim = relevance_at_similarity(student, x, 0, state=st)
         _, r_fp = _similarity_split(student, 0, r_sim, st, 1e-3)
         c, h, w = r_fp.shape
@@ -251,3 +320,63 @@ class TestExplain:
         pairs = explain(student, x, topk=3)
         assert len(pairs) == 3
         assert pairs[0].u_value >= pairs[1].u_value >= pairs[2].u_value
+
+    def test_matches_per_pair_heatmaps(self, head_kind):
+        """Each pair of one top-3 explain call equals heatmaps() run alone
+        for that prototype."""
+        student = micro_student(head_kind, seed=24, k=5)
+        x = np.random.default_rng(25).random((2, 4, 4))
+        pairs = explain(student, x, topk=3)
+        assert len({p.prototype_index for p in pairs}) == 3
+        for pair in pairs:
+            alone = heatmaps(student, x, pair.prototype_index)
+            for name in ("heat_input", "heat_proto", "r_sim"):
+                np.testing.assert_array_equal(getattr(pair, name), getattr(alone, name))
+            assert pair.u_value == alone.u_value
+            assert pair.predicted_class == alone.predicted_class
+
+    def test_one_forward_and_one_recorded_forward(self, monkeypatch):
+        """The ranking forward is reused for every pair, and the input and
+        its prototypes share one recorded encoder forward."""
+        calls = {"forward": 0, "forward_recorded": 0}
+
+        def counted(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(StudentModel, "forward")
+        counted(Encoder, "forward_recorded")
+        student = micro_student("III-B", seed=26, k=5)
+        pairs = explain(student, np.random.default_rng(27).random((2, 4, 4)), topk=3)
+        assert len(pairs) == 3
+        assert calls == {"forward": 1, "forward_recorded": 1}
+
+
+class TestExportPair:
+    def test_conservation_residual_bias_free_positive(self, tmp_path, head_kind):
+        """Bias-free, all-positive toy at eps=0: each sidecar's residual
+        between summed pixel relevance and summed r_sim is at rounding
+        level."""
+        student = bias_free_student(head_kind, seed=28, k=3)
+        for kern in student.encoder.kernels:
+            kern.data = np.abs(kern.data)
+        student.refresh_store_features()
+        x = np.random.default_rng(29).random((2, 4, 4))
+        for j, pair in enumerate(explain(student, x, topk=3, params=LrpParams(1.7, 0.7, 0.0))):
+            export_pair(pair, tmp_path / f"pair{j}")
+            for side in ("input", "proto"):
+                meta = json.loads((tmp_path / f"pair{j}_{side}.json").read_text())
+                assert 0.0 <= meta["conservation_residual"] <= 1e-9
+
+    def test_conservation_residual_null_without_relevance(self, tmp_path):
+        student = micro_student("II-A", seed=30, k=2)
+        student.head.w.data[...] = 0.0  # every logit and r_sim is zero
+        pair = heatmaps(student, np.random.default_rng(31).random((2, 4, 4)), 0)
+        export_pair(pair, tmp_path / "pair")
+        for side in ("input", "proto"):
+            meta = json.loads((tmp_path / f"pair_{side}.json").read_text())
+            assert meta["conservation_residual"] is None
