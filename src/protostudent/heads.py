@@ -17,7 +17,6 @@ between the two kinds holds exactly, not just within float tolerance.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ import numpy as np
 from . import tensor as T
 from .encoder import Encoder
 from .tensor import DimensionError, Tensor
-
-log = logging.getLogger(__name__)
 
 HEAD_KINDS = ("I", "II-A", "II-B", "III-A", "III-B", "III-C")
 
@@ -88,10 +85,9 @@ class SimilarityRecord:
     s_raw: Tensor | None = None        # [B, K] Head I cosine before ReLU
     gxh: Tensor | None = None          # [B, C] normalized pooled input features
     gph: Tensor | None = None          # [K, C]
-    smap: Tensor | None = None         # [B, K, HW] similarity map (II)
-    cos_iia: Tensor | None = None      # [B, K, HW] aligned cosines
-    cos_iib: Tensor | None = None      # [B, K, HW] row-max cosines
-    cos_iiic: Tensor | None = None     # [B, K, HW] column-max cosines (III-C)
+    cos: Tensor | None = None          # [B, K, HW] matched cosine per input position:
+                                       # aligned (-A), row max (-B, III-C)
+    cos_p: Tensor | None = None        # [B, K, HW] column-max cosines (III-C)
     argmax_p: np.ndarray | None = None  # [B, K, HW] best prototype position per input position
     argmax_x: np.ndarray | None = None  # [B, K, HW] best input position per prototype position (III-C)
     attn: Tensor | None = None         # [B, K, HW] attention over input positions (III)
@@ -182,24 +178,21 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
                            fxh=fxh, fph=fph, fx_raw=fx_flat, fp_raw=fp_flat)
 
     if kind == "II-A":
-        rec.smap = rec.cos_iia = _diag_positions(allpairs)
-        rec.z = T.tmean(rec.smap, axis=2)
+        rec.cos = _diag_positions(allpairs)
+        rec.z = T.tmean(rec.cos, axis=2)
     elif kind == "II-B":
-        smap, arg = T.tmax(allpairs, axis=3)
-        rec.smap = rec.cos_iib = smap
-        rec.argmax_p = arg
-        rec.z = T.tmean(smap, axis=2)
+        rec.cos, rec.argmax_p = T.tmax(allpairs, axis=3)
+        rec.z = T.tmean(rec.cos, axis=2)
     elif kind == "III-A":
-        rec.cos_iia = _diag_positions(allpairs)
-        rec.attn = T.softmax(rec.cos_iia, axis=2)
+        rec.cos = _diag_positions(allpairs)
+        rec.attn = T.softmax(rec.cos, axis=2)
         rec.attended = T.einsum("bki,bci,kci->bkc", rec.attn, fx_flat, fp_flat)
         rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
     elif kind == "III-B":
-        cos_iib, arg = T.tmax(allpairs, axis=3)
-        rec.cos_iib = cos_iib
+        rec.cos, arg = T.tmax(allpairs, axis=3)
         rec.argmax_p = arg
-        rec.attn = T.softmax(cos_iib, axis=2)
-        bsz, kk, hw = cos_iib.shape
+        rec.attn = T.softmax(rec.cos, axis=2)
+        bsz, kk, hw = rec.cos.shape
         c = fx.shape[1]
         # flat index into fp[k,c,j]: (k*C + c)*HW + arg[b,k,i]
         base_kc = (np.arange(kk)[:, None] * c + np.arange(c)[None, :]) * hw
@@ -208,14 +201,10 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
         rec.attended = T.einsum("bki,bci,bkci->bkc", rec.attn, fx_flat, fp_sel)
         rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
     elif kind == "III-C":
-        cos_iib, arg_p = T.tmax(allpairs, axis=3)
-        cos_iiic, arg_x = T.tmax(allpairs, axis=2)
-        rec.cos_iib = cos_iib
-        rec.cos_iiic = cos_iiic
-        rec.argmax_p = arg_p
-        rec.argmax_x = arg_x
-        rec.attn = T.softmax(cos_iib, axis=2)
-        rec.attn_p = T.softmax(cos_iiic, axis=2)
+        rec.cos, rec.argmax_p = T.tmax(allpairs, axis=3)
+        rec.cos_p, rec.argmax_x = T.tmax(allpairs, axis=2)
+        rec.attn = T.softmax(rec.cos, axis=2)
+        rec.attn_p = T.softmax(rec.cos_p, axis=2)
         joint = T.mul(rec.attn, rec.attn_p)
         rec.attended = T.einsum("bki,bci,kci->bkc", joint, fx_flat, fp_flat)
         rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
@@ -223,115 +212,6 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
         raise ConfigurationError(f"unknown head kind {kind!r}")
 
     return T.linear(rec.z, model.w, model.b), rec
-
-
-# -- single-pair similarity operations --------------------------------------
-#
-# Value-level views of the batched machinery above, for toys, tests, and
-# the relevance propagation code. All take and return plain arrays.
-
-def _pair_setup(fx, fp):
-    fx = np.asarray(fx, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    if fx.ndim != 3 or fp.ndim != 3 or fx.shape[0] != fp.shape[0]:
-        raise DimensionError(f"expected [C,H,W] maps with equal channels, got {fx.shape}, {fp.shape}")
-    if fx.shape[1] * fx.shape[2] == 0 or fp.shape[1] * fp.shape[2] == 0:
-        raise DimensionError("empty spatial grid")
-    with T.no_grad():
-        fxh = T.l2_normalize_channels(Tensor(fx)).data
-        fph = T.l2_normalize_channels(Tensor(fp)).data
-    c = fx.shape[0]
-    return fxh.reshape(c, -1), fph.reshape(c, -1)
-
-
-def sim_I(gx, gp) -> float:
-    """Cosine similarity of two pooled feature vectors; 0 for zero norms."""
-    gx = np.asarray(gx, dtype=np.float64)
-    gp = np.asarray(gp, dtype=np.float64)
-    nx, npr = np.linalg.norm(gx), np.linalg.norm(gp)
-    if nx <= T.EPS_NORM or npr <= T.EPS_NORM:
-        log.debug("sim_I: zero-norm operand, similarity forced to 0")
-        return 0.0
-    return float(gx @ gp / (nx * npr))
-
-
-def sim_IIA(fx, fp) -> np.ndarray:
-    """Aligned-position cosine map, shape [H,W].
-
-    Computed as the diagonal of the same all-pairs matrix the max variant
-    reduces, so the dominance relation between the two is exact.
-    """
-    fxh, fph = _pair_setup(fx, fp)
-    if fxh.shape != fph.shape:
-        raise DimensionError("II-A needs matching spatial extents")
-    h, w = np.asarray(fx).shape[1:]
-    allp = fxh.T @ fph
-    return np.diagonal(allp).copy().reshape(h, w)
-
-
-def sim_IIB(fx, fp) -> tuple:
-    """Max cosine over prototype positions per input position.
-
-    Returns (map [H,W], argmax [H,W,2]) with row-major first-index ties.
-    """
-    fxh, fph = _pair_setup(fx, fp)
-    allp = fxh.T @ fph  # [HWx, HWp]
-    arg = allp.argmax(axis=1)
-    smap = np.take_along_axis(allp, arg[:, None], axis=1)[:, 0]
-    h, w = np.asarray(fx).shape[1:]
-    hp, wp = np.asarray(fp).shape[1:]
-    pairs = np.stack(np.unravel_index(arg, (hp, wp)), axis=-1).reshape(h, w, 2)
-    return smap.reshape(h, w), pairs
-
-
-def attention(s) -> np.ndarray:
-    """Softmax over all spatial positions of a similarity map."""
-    s = np.asarray(s, dtype=np.float64)
-    e = np.exp(s - s.max())
-    return e / e.sum()
-
-
-def sim_IIIA(fx, fp, a) -> np.ndarray:
-    """Attention-weighted per-channel products at aligned positions."""
-    fx = np.asarray(fx, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if fx.shape != fp.shape or a.shape != fx.shape[1:]:
-        raise DimensionError("III-A shape mismatch")
-    return np.einsum("hw,chw,chw->c", a, fx, fp)
-
-
-def sim_IIIB(fx, fp, a, argmax) -> np.ndarray:
-    """As III-A but the prototype factor is taken at the recorded best
-    match position for each input position."""
-    fx = np.asarray(fx, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    idx = np.asarray(argmax)
-    if fx.shape[0] != fp.shape[0] or a.shape != fx.shape[1:]:
-        raise DimensionError("III-B shape mismatch")
-    fp_sel = fp[:, idx[..., 0], idx[..., 1]]  # [C,H,W]
-    return np.einsum("hw,chw,chw->c", a, fx, fp_sel)
-
-
-def attn_IIIC(fx, fp) -> np.ndarray:
-    """Prototype-side attention map: softmax over prototype positions of
-    the max cosine against any input position."""
-    fxh, fph = _pair_setup(fx, fp)
-    allp = fxh.T @ fph
-    col_max = allp.max(axis=0)
-    hp, wp = np.asarray(fp).shape[1:]
-    return attention(col_max.reshape(hp, wp))
-
-
-def sim_IIIC(fx, fp, a_b, a_c) -> np.ndarray:
-    """Doubly attention-weighted products at aligned positions."""
-    fx = np.asarray(fx, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    if fx.shape != fp.shape:
-        raise DimensionError("III-C needs matching feature shapes")
-    joint = np.asarray(a_b, dtype=np.float64) * np.asarray(a_c, dtype=np.float64)
-    return np.einsum("hw,chw,chw->c", joint, fx, fp)
 
 
 # -- the assembled student ---------------------------------------------------
@@ -348,14 +228,10 @@ class StudentModel:
     def params(self) -> list:
         return self.encoder.params + self.head.params
 
-    def refresh_store_features(self, build_graph: bool = False):
+    def refresh_store_features(self):
         """Recompute prototype feature maps through the current encoder."""
-        imgs = Tensor(self.store.images)
-        if build_graph:
-            self.store.features = self.encoder.forward(imgs)
-        else:
-            with T.no_grad():
-                self.store.features = self.encoder.forward(imgs)
+        with T.no_grad():
+            self.store.features = self.encoder.forward(Tensor(self.store.images))
 
     def forward(self, images: np.ndarray) -> tuple:
         """(logits, record) for a batch of raw images, without a graph."""

@@ -56,16 +56,18 @@ def read_ppm(path) -> np.ndarray:
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
-def write_pgm16(path, image: np.ndarray):
-    """Write a [H,W] float image in [0,1] as binary big-endian 16-bit P5."""
+def write_pgm16(path, image: np.ndarray) -> bytes:
+    """Write a [H,W] float image in [0,1] as binary big-endian 16-bit P5;
+    returns the bytes written."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ImageFormatError(f"expected [H,W], got {img.shape}")
     words = np.clip(np.rint(img * 65535.0), 0, 65535).astype(">u2")
     h, w = img.shape
+    data = f"P5\n{w} {h}\n65535\n".encode() + words.tobytes()
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode())
-        fh.write(words.tobytes())
+        fh.write(data)
+    return data
 
 
 def read_pgm16(path) -> np.ndarray:

@@ -84,13 +84,6 @@ def _pair_sq_dist(nx: Tensor, np_: Tensor, cos: Tensor) -> Tensor:
     return T.add(T.add(T.reshape(nx, (b, 1)), T.reshape(np_, (1, k))), T.mul(cos, -2.0))
 
 
-def _spatial_sq_dist(nx: Tensor, np_: Tensor, cos: Tensor) -> Tensor:
-    """Mean over positions of column distances: [B,HW],[K,HW],[B,K,HW] -> [B,K]."""
-    b, k, hw = cos.shape
-    d = T.add(T.add(T.reshape(nx, (b, 1, hw)), T.reshape(np_, (1, k, hw))), T.mul(cos, -2.0))
-    return T.tmean(d, axis=2)
-
-
 def _gather_bk(t: Tensor, arg: np.ndarray, axis_of_t: str) -> Tensor:
     """Select per-(b,k) columns out of [B,HW] or [K,HW] using flat argmax
     indices [B,K,HW]."""
@@ -104,88 +97,30 @@ def _gather_bk(t: Tensor, arg: np.ndarray, axis_of_t: str) -> Tensor:
 
 
 def j_from_record(rec: H.SimilarityRecord, labels_x, labels_p) -> Tensor:
-    """Head-appropriate distance objective from a forward record."""
-    kind = rec.kind
-    if kind == "I":
+    """Head-appropriate distance objective from a forward record.
+
+    Head I compares pooled vectors. Every other head averages column
+    distances over input positions, each input column against its matched
+    prototype column (the same position, or argmax_p where recorded);
+    III-C adds the prototype-side term over its column maxima.
+    """
+    if rec.kind == "I":
         cos = T.matmul(rec.gxh, T.transpose(rec.gph, (1, 0)))
         nx = T.tsum(T.square(rec.gxh), axis=1)
         np_ = T.tsum(T.square(rec.gph), axis=1)
         return _signed_mean(_pair_sq_dist(nx, np_, cos), labels_x, labels_p)
-    if kind in ("II-A", "III-A"):
-        d = _spatial_sq_dist(rec.norms_x, rec.norms_p, rec.cos_iia)
-        return _signed_mean(d, labels_x, labels_p)
-    if kind in ("II-B", "III-B"):
-        np_sel = _gather_bk(rec.norms_p, rec.argmax_p, "p")
-        b, k, hw = rec.cos_iib.shape
-        d = T.tmean(T.add(T.add(T.reshape(rec.norms_x, (b, 1, hw)), np_sel),
-                          T.mul(rec.cos_iib, -2.0)), axis=2)
-        return _signed_mean(d, labels_x, labels_p)
-    if kind == "III-C":
-        np_sel = _gather_bk(rec.norms_p, rec.argmax_p, "p")
-        b, k, hw = rec.cos_iib.shape
-        d_x = T.tmean(T.add(T.add(T.reshape(rec.norms_x, (b, 1, hw)), np_sel),
-                            T.mul(rec.cos_iib, -2.0)), axis=2)
-        nx_sel = _gather_bk(rec.norms_x, rec.argmax_x, "x")
-        d_p = T.tmean(T.add(T.add(nx_sel, T.reshape(rec.norms_p, (1, k, hw))),
-                            T.mul(rec.cos_iiic, -2.0)), axis=2)
-        return T.add(_signed_mean(d_x, labels_x, labels_p),
-                     _signed_mean(d_p, labels_x, labels_p))
-    raise ValueError(f"unknown head kind {kind!r}")
-
-
-def _record_for(kind: str, batch_features, store) -> H.SimilarityRecord:
-    fx = batch_features if isinstance(batch_features, Tensor) else Tensor(np.asarray(batch_features, dtype=np.float64))
-    if fx.ndim == 3:
-        fx = T.reshape(fx, (1, *fx.shape))
-    fp = store.features if isinstance(store.features, Tensor) else Tensor(np.asarray(store.features, dtype=np.float64))
-    rec = H.SimilarityRecord(kind=kind, hw_shape=fx.shape[2:], z=None)
-    if kind == "I":
-        rec.gxh = T.l2_normalize(T.avgpool_spatial(fx), axis=1)
-        rec.gph = T.l2_normalize(T.avgpool_spatial(fp), axis=1)
-        return rec
-    fx_flat = T.reshape(fx, (fx.shape[0], fx.shape[1], -1))
-    fp_flat = T.reshape(fp, (fp.shape[0], fp.shape[1], -1))
-    fxh = T.l2_normalize(fx_flat, axis=1)
-    fph = T.l2_normalize(fp_flat, axis=1)
-    rec.norms_x = T.tsum(T.square(fxh), axis=1)
-    rec.norms_p = T.tsum(T.square(fph), axis=1)
-    allpairs = H.cosine_allpairs(fxh, fph)
-    if kind in ("II-A", "III-A"):
-        rec.cos_iia = H._diag_positions(allpairs)
-    elif kind in ("II-B", "III-B"):
-        rec.cos_iib, rec.argmax_p = T.tmax(allpairs, axis=3)
-    elif kind == "III-C":
-        rec.cos_iib, rec.argmax_p = T.tmax(allpairs, axis=3)
-        rec.cos_iiic, rec.argmax_x = T.tmax(allpairs, axis=2)
-    return rec
-
-
-def j_head1(batch_features, batch_labels, store) -> Tensor:
-    """Distance term over pooled normalized features (Head I)."""
-    rec = _record_for("I", batch_features, store)
-    return j_from_record(rec, batch_labels, store.labels)
-
-
-def j_headA(batch_features, batch_labels, store) -> Tensor:
-    """Aligned-position distance term (Heads II-A and III-A)."""
-    rec = _record_for("II-A", batch_features, store)
-    return j_from_record(rec, batch_labels, store.labels)
-
-
-def j_headB(batch_features, batch_labels, store) -> Tensor:
-    """Best-match-position distance term (Heads II-B and III-B)."""
-    rec = _record_for("II-B", batch_features, store)
-    return j_from_record(rec, batch_labels, store.labels)
-
-
-def j_headC(batch_features, batch_labels, store) -> Tensor:
-    """Two-sided best-match distance term (Head III-C)."""
-    rec = _record_for("III-C", batch_features, store)
-    return j_from_record(rec, batch_labels, store.labels)
-
-
-J_BY_KIND = {"I": j_head1, "II-A": j_headA, "II-B": j_headB,
-             "III-A": j_headA, "III-B": j_headB, "III-C": j_headC}
+    b, k, hw = rec.cos.shape
+    np_sel = (T.reshape(rec.norms_p, (1, k, hw)) if rec.argmax_p is None
+              else _gather_bk(rec.norms_p, rec.argmax_p, "p"))
+    d_x = T.tmean(T.add(T.add(T.reshape(rec.norms_x, (b, 1, hw)), np_sel),
+                        T.mul(rec.cos, -2.0)), axis=2)
+    j = _signed_mean(d_x, labels_x, labels_p)
+    if rec.cos_p is None:
+        return j
+    nx_sel = _gather_bk(rec.norms_x, rec.argmax_x, "x")
+    d_p = T.tmean(T.add(T.add(nx_sel, T.reshape(rec.norms_p, (1, k, hw))),
+                        T.mul(rec.cos_p, -2.0)), axis=2)
+    return T.add(j, _signed_mean(d_p, labels_x, labels_p))
 
 
 def total_loss(y_true, y, y_teacher, y_pred, y_mask, j_value, weights: LossWeights) -> tuple:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heads as H
 from .heads import StudentModel
 from .outlier import u_from_record
 
@@ -200,7 +199,7 @@ def relevance_at_similarity(student: StudentModel, x: np.ndarray, k: int,
     if kind == "I":
         return np.array([r_zk])
     if kind in ("II-A", "II-B"):
-        smap = rec.smap.data[0, k]
+        smap = rec.cos.data[0, k]
         factor = 0.0 if _stab(z[k], eps) == 0 else r_zk / _stab(z[k], eps)
         return (smap / smap.size * factor).reshape(rec.hw_shape)
     # Head III: epsilon rule through the channel-sum conv
@@ -238,14 +237,14 @@ def _similarity_split(student: StudentModel, k: int, r_sim: np.ndarray,
     fxh = rec.fxh.data[0].reshape(c, hw)
     fph = rec.fph.data[k].reshape(c, hw)
     if kind == "II-A":
-        smap = rec.smap.data[0, k].reshape(hw)
+        smap = rec.cos.data[0, k].reshape(hw)
         r_map = r_sim.reshape(hw)
         factor = _safe_ratio(r_map, _stab(smap, eps))
         r_fx = fxh * fph * factor[None, :]
         return r_fx.reshape(c, h, w), r_fx.copy().reshape(c, h, w)
     if kind == "II-B":
         sel = rec.argmax_p[0, k]
-        smap = rec.smap.data[0, k].reshape(hw)
+        smap = rec.cos.data[0, k].reshape(hw)
         r_map = r_sim.reshape(hw)
         factor = _safe_ratio(r_map, _stab(smap, eps))
         prod = fxh * fph[:, sel] * factor[None, :]
@@ -348,8 +347,7 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
     for side, heat in (("input", pair.heat_input), ("proto", pair.heat_proto)):
         img = np.clip(np.abs(heat) * gain, 0.0, 1.0)
         pgm = basepath.parent / f"{basepath.name}_{side}.pgm"
-        write_pgm16(pgm, img)
-        checksum = zlib.crc32(pgm.read_bytes())
+        checksum = zlib.crc32(write_pgm16(pgm, img))
         sidecar = {"k": pair.prototype_index, "u_k": pair.u_value,
                    "class": pair.predicted_class,
                    "min": float(heat.min()), "max": float(heat.max()),

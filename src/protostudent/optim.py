@@ -5,6 +5,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+MAX_GRAD_NORM = 10.0   # the global gradient norm is clipped to this before each step
+
 
 class SGD:
     """Momentum SGD over named parameter groups.
@@ -15,14 +17,12 @@ class SGD:
     """
 
     def __init__(self, groups, momentum: float = 0.9, weight_decay: float = 1e-4,
-                 step_epochs: int = 10, gamma: float = 0.1,
-                 max_grad_norm: float = 10.0):
+                 step_epochs: int = 10, gamma: float = 0.1):
         self.groups = groups
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.step_epochs = step_epochs
         self.gamma = gamma
-        self.max_grad_norm = max_grad_norm
         self.scale = 1.0
         self._velocity = {}
         for g in groups:
@@ -38,16 +38,13 @@ class SGD:
                 p.zero_grad()
 
     def step(self):
-        clip = 1.0
-        if self.max_grad_norm:
-            sq = 0.0
-            for g in self.groups:
-                for p in g["params"]:
-                    if p.grad is not None:
-                        sq += float(np.sum(p.grad * p.grad))
-            norm = np.sqrt(sq)
-            if norm > self.max_grad_norm:
-                clip = self.max_grad_norm / norm
+        sq = 0.0
+        for g in self.groups:
+            for p in g["params"]:
+                if p.grad is not None:
+                    sq += float(np.sum(p.grad * p.grad))
+        norm = np.sqrt(sq)
+        clip = MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0
         for g in self.groups:
             lr = g["lr"] * self.scale
             for p in g["params"]:

@@ -37,19 +37,14 @@ def spatial_sim_map(rec: SimilarityRecord) -> np.ndarray:
 
     Head III only: the attention weight(s) times the normalized cosine at
     each position, so every entry stays in [0,1] for nonnegative
-    features. III-A pairs its attention with the aligned cosine map,
-    III-B/III-C with the best-match cosine map; III-C multiplies both of
-    its attention maps in.
+    features: the matched cosine map (aligned for III-A, best match for
+    III-B/III-C) weighted by the input-side attention, and for III-C also
+    by the prototype-side attention.
     """
-    kind = rec.kind
-    if kind == "III-A":
-        r = rec.attn.data * rec.cos_iia.data
-    elif kind == "III-B":
-        r = rec.attn.data * rec.cos_iib.data
-    elif kind == "III-C":
-        r = rec.attn.data * rec.attn_p.data * rec.cos_iib.data
-    else:
-        raise MetricError(f"no attended similarity map for head {kind!r}")
+    if rec.attn is None:
+        raise MetricError(f"no attended similarity map for head {rec.kind!r}")
+    a = rec.attn.data if rec.attn_p is None else rec.attn.data * rec.attn_p.data
+    r = a * rec.cos.data
     b, k, _ = r.shape
     return r.reshape(b, k, *rec.hw_shape)
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heads import ConfigurationError, StudentModel
-from .lrp import LrpParams, heatmaps
-from .outlier import u_from_record
+from .lrp import LrpParams, explain
 
 
 @dataclass
@@ -66,13 +65,13 @@ def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
         raise ConfigurationError(f"unknown policy {policy!r}")
     fill = images.mean(axis=(0, 2, 3)) if fill is None else np.asarray(fill, dtype=np.float64)
 
-    logits0, rec0 = student.forward(images)
+    logits0, _ = student.forward(images)
     preds = logits0.data.argmax(axis=1)
 
     orders = []
     if policy == "relevance":
         if heats is None:
-            heats = top1_heatmaps(student, images, params, rec0)
+            heats = top1_heatmaps(student, images, params)
         for i in range(n):
             orders.append(tile_order(heats[i], region))
     else:
@@ -92,15 +91,8 @@ def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
 
 
 def top1_heatmaps(student: StudentModel, images: np.ndarray,
-                  params: LrpParams | None = None, rec0=None) -> list:
+                  params: LrpParams | None = None) -> list:
     """Input-side heatmap against the highest-similarity prototype for
     each sample."""
-    images = np.asarray(images, dtype=np.float64)
-    if rec0 is None:
-        rec0 = student.forward(images)[1]
-    u_all = u_from_record(rec0)
-    out = []
-    for i in range(len(images)):
-        k = int(np.argmax(u_all[i]))
-        out.append(heatmaps(student, images[i], k, params).heat_input)
-    return out
+    return [explain(student, x, 1, params)[0].heat_input
+            for x in np.asarray(images, dtype=np.float64)]

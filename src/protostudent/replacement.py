@@ -5,7 +5,8 @@ The train set S is partitioned into a prototype set P (class-balanced,
 prototypes with the smallest importance weight and adds a masked-output
 cross-entropy to the objective; at the end of every epoch those p
 prototypes are swapped against class-matched random draws from D and
-their importance entries are reinitialized.
+their importance entries are reinitialized. Post-pruning finetuning is
+the same step loop with p = 0 over a fixed prototype set.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heads as H
 from . import losses as L
 from . import tensor as T
 from .encoder import TeacherModel, TrainingError
@@ -171,44 +171,31 @@ def _replace_lowest(store: PrototypeStore, d_pools: dict, images, labels,
     return swaps
 
 
-def train_student(teacher: TeacherModel, train_data, head_kind: str,
-                  config: ReplacementConfig, weights: LossWeights,
-                  protos_per_class: int = 10, val_data=None,
-                  compute_aux: bool = True) -> tuple:
-    """Distill the teacher into a prototype head with iterative prototype
-    replacement. Returns (student, store, log records).
+def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: dict,
+         epochs: int, iterations: int | None, p: int, config: ReplacementConfig,
+         weights: LossWeights, rng: np.random.Generator) -> list:
+    """The step loop of training and of finetuning; returns log records.
 
-    compute_aux=False drops the auxiliary branch entirely (baseline hook
-    for verifying the branch is inert at lam2=0).
+    Each epoch draws `iterations` batches from D, the union of d_pools
+    (None: one pass). With p > 0 the p least important prototypes are
+    masked in the auxiliary branch and swapped out at the epoch's end;
+    with p = 0 the mask keeps every prototype and the store stays fixed.
     """
-    images = np.asarray(train_data[0], dtype=np.float64)
-    labels = np.asarray(train_data[1], dtype=np.int64)
-    classes = int(labels.max()) + 1
-    store, d_pools = init_store(images, labels, protos_per_class, config.seed)
+    enc, head, store = student.encoder, student.head, student.store
     k = len(store)
-    p = config.p_count(k)
-
-    enc = teacher.encoder.copy()
-    c_feat = enc.config.feature_shape()[0]
-    head = make_head(head_kind, k, classes, c_feat, seed=config.seed)
-    student = StudentModel(encoder=enc, head=head, store=store, class_count=classes)
-
     opt = SGD([{"params": enc.params, "lr": config.lr_encoder},
                {"params": head.params + [store.m_weights], "lr": config.lr_head}],
               momentum=config.momentum, weight_decay=config.weight_decay,
               step_epochs=config.lr_step_epochs, gamma=config.lr_gamma)
-
     with T.no_grad():
         teacher_logits = teacher.forward(Tensor(images)).data
-
-    rng = np.random.default_rng([config.seed, 0x51])
     log_records = []
     step = 0
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         opt.set_epoch(epoch)
         d_ids = np.asarray(sorted(i for pool in d_pools.values() for i in pool), dtype=np.int64)
         order = rng.permutation(len(d_ids))
-        n_iters = config.iterations if config.iterations is not None else \
+        n_iters = iterations if iterations is not None else \
             (len(d_ids) + config.batch_size - 1) // config.batch_size
         for it in range(n_iters):
             lo = (it * config.batch_size) % max(len(d_ids), 1)
@@ -226,10 +213,7 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
                 mask = binary_mask(store.m_weights.data, tau, p)
             else:
                 tau, mask = None, np.ones(k)
-            if compute_aux:
-                y_mask = masked_logits(rec.z, mask, head)
-            else:
-                y_mask = y
+            y_mask = masked_logits(rec.z, mask, head)
             j_val = L.j_from_record(rec, labels[batch], store.labels)
             try:
                 total, parts = L.total_loss(labels[batch], y, teacher_logits[batch],
@@ -248,8 +232,27 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
             log_records.append({"epoch": epoch, "iter": None, "loss": None, "tau": None,
                                 "replaced": [{"slot": int(s), "out_id": int(o), "in_id": int(n)}
                                              for s, o, n in swaps]})
-
     student.refresh_store_features()
+    return log_records
+
+
+def train_student(teacher: TeacherModel, train_data, head_kind: str,
+                  config: ReplacementConfig, weights: LossWeights,
+                  protos_per_class: int = 10, val_data=None) -> tuple:
+    """Distill the teacher into a prototype head with iterative prototype
+    replacement. Returns (student, store, log records)."""
+    images = np.asarray(train_data[0], dtype=np.float64)
+    labels = np.asarray(train_data[1], dtype=np.int64)
+    classes = int(labels.max()) + 1
+    store, d_pools = init_store(images, labels, protos_per_class, config.seed)
+    k = len(store)
+    p = config.p_count(k)
+    enc = teacher.encoder.copy()
+    head = make_head(head_kind, k, classes, enc.config.feature_shape()[0], seed=config.seed)
+    student = StudentModel(encoder=enc, head=head, store=store, class_count=classes)
+    rng = np.random.default_rng([config.seed, 0x51])
+    log_records = _fit(student, teacher, images, labels, d_pools, config.epochs,
+                       config.iterations, p, config, weights, rng)
     if val_data is not None:
         log_records.append({"epoch": config.epochs, "iter": None,
                             "val_accuracy": student.accuracy(np.asarray(val_data[0], dtype=np.float64),
@@ -294,43 +297,13 @@ def prune(student: StudentModel, fraction: float) -> StudentModel:
 
 def finetune(student: StudentModel, teacher: TeacherModel, train_data,
              epochs: int, config: ReplacementConfig, weights: LossWeights) -> list:
-    """Post-pruning finetuning: the replacement/masking machinery is off,
-    prototypes stay fixed, parameters keep training on D = S \\ P."""
+    """Post-pruning finetuning: the step loop with p = 0, so prototypes
+    stay fixed and parameters keep training on D = S \\ P, one pass per
+    epoch."""
     images = np.asarray(train_data[0], dtype=np.float64)
     labels = np.asarray(train_data[1], dtype=np.int64)
-    store = student.store
-    k = len(store)
-    proto_ids = set(int(i) for i in store.ids)
-    d_ids = np.asarray([i for i in range(len(images)) if i not in proto_ids], dtype=np.int64)
-    opt = SGD([{"params": student.encoder.params, "lr": config.lr_encoder},
-               {"params": student.head.params + [store.m_weights], "lr": config.lr_head}],
-              momentum=config.momentum, weight_decay=config.weight_decay,
-              step_epochs=config.lr_step_epochs, gamma=config.lr_gamma)
-    with T.no_grad():
-        teacher_logits = teacher.forward(Tensor(images)).data
+    proto_ids = set(int(i) for i in student.store.ids)
+    d_pool = [i for i in range(len(images)) if i not in proto_ids]
     rng = np.random.default_rng([config.seed, 0x52])
-    records = []
-    for epoch in range(epochs):
-        opt.set_epoch(epoch)
-        order = rng.permutation(len(d_ids))
-        for it in range((len(d_ids) + config.batch_size - 1) // config.batch_size):
-            batch = d_ids[order[it * config.batch_size:(it + 1) * config.batch_size]]
-            if len(batch) == 0:
-                continue
-            xall = Tensor(np.concatenate([images[batch], store.images], axis=0))
-            feats = student.encoder.forward(xall)
-            fx, fp = T.split_rows(feats, [len(batch), k])
-            store.features = fp
-            y, rec = head_forward(fx, store, student.head)
-            y_mask = masked_logits(rec.z, np.ones(k), student.head)
-            j_val = L.j_from_record(rec, labels[batch], store.labels)
-            total, parts = L.total_loss(labels[batch], y, teacher_logits[batch],
-                                        y.data.argmax(axis=1), y_mask, j_val, weights)
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            student.head.clip_conv1d()
-            records.append({"epoch": epoch, "iter": it, "loss": float(total.data), **parts,
-                            "tau": None, "replaced": []})
-    student.refresh_store_features()
-    return records
+    return _fit(student, teacher, images, labels, {0: d_pool}, epochs, None, 0,
+                config, weights, rng)

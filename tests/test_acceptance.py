@@ -218,7 +218,7 @@ class TestCriterion3LrpConservation:
 
 class TestCriterion4HeadRelations:
     def test_dominance_equality_and_unit_range(self):
-        from protostudent.heads import sim_IIA, sim_IIB
+        from oracles import sim_IIA, sim_IIB
         rng = np.random.default_rng(4)
         for _ in range(500):
             fx = rng.random((3, 3, 3))

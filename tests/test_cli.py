@@ -147,6 +147,16 @@ class TestPipelineArtifacts:
             residual = meta["conservation_residual"]
             assert residual is None or (np.isfinite(residual) and residual >= 0.0)
 
+    def test_explain_sidecar_checksums_match_pgm_files(self, pipeline):
+        """Each sidecar's checksum is the CRC32 of the PGM file beside it."""
+        root, path = pipeline
+        assert main(["explain", "--config", str(path)]) == 0
+        sidecars = sorted((root / "out" / "heatmaps").glob("sample*.json"))
+        assert len(sidecars) == 2 * 3 * 2  # samples x topk x sides
+        for meta_path in sidecars:
+            pgm = meta_path.with_suffix(".pgm")
+            assert json.loads(meta_path.read_text())["checksum"] == zlib.crc32(pgm.read_bytes())
+
     def test_outlier_eval_csv_and_summary(self, pipeline):
         root, path = pipeline
         assert main(["outlier-eval", "--config", str(path), "--setup", "C"]) == 0

@@ -8,14 +8,14 @@ import pytest
 from protostudent import heads as H
 from protostudent import tensor as T
 from protostudent.encoder import EncoderConfig
-from protostudent.heads import (ConfigurationError, HeadModel, head_forward,
-                                sim_I, sim_IIA, sim_IIB, attention,
-                                sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
+from protostudent.heads import ConfigurationError, HeadModel, head_forward
 from protostudent.optim import SGD
 from protostudent.replacement import PrototypeStore
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
+from oracles import (sim_I, sim_IIA, sim_IIB, attention,
+                     sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
 
 
 def cosine_map_loops(fx, fp):
@@ -325,7 +325,7 @@ class TestHeadGradients:
         monkeypatch.setattr(np, "einsum_path", refuse)
         student = micro_student("III-B", seed=18)
         x = np.random.default_rng(19).random((3, 2, 4, 4))
-        student.refresh_store_features(build_graph=True)
+        student.store.features = student.encoder.forward(Tensor(student.store.images))
         logits, _ = head_forward(student.encoder.forward(Tensor(x)), student.store, student.head)
         T.tsum(T.square(logits)).backward()
         assert all(p.grad is not None for p in student.params)

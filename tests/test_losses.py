@@ -6,10 +6,9 @@ import pytest
 from protostudent import losses as L
 from protostudent import tensor as T
 from protostudent.encoder import TrainingError
-from protostudent.heads import head_forward
+from protostudent.heads import head_forward, make_head
 from protostudent.losses import (LossWeights, aux_mask_loss, cross_entropy,
-                                 j_from_record, j_head1, j_headA, j_headB,
-                                 j_headC, total_loss)
+                                 j_from_record, total_loss)
 from protostudent.replacement import binary_mask, masked_logits, threshold
 from protostudent.tensor import Tensor
 
@@ -57,6 +56,15 @@ class TestAuxMaskLoss:
         assert val == pytest.approx(np.log(5), abs=1e-9)
 
 
+def _j(kind, fx, labels_x, store):
+    """Distance term of head `kind` for input features fx against the
+    store's prototype features: head_forward's record into j_from_record."""
+    fx = fx if isinstance(fx, Tensor) else Tensor(fx)
+    head = make_head(kind, len(store.labels), 1, fx.shape[1])
+    _, rec = head_forward(fx, store, head)
+    return j_from_record(rec, labels_x, store.labels)
+
+
 def _norm(v):
     n = np.linalg.norm(v)
     return v / n if n > 0 else v
@@ -67,7 +75,7 @@ class TestDistanceTerms:
         """Head I: an input equal to its same-class prototype."""
         student = micro_student("I", seed=2, k=1, classes=1)
         x = student.store.images[0:1]
-        j = j_head1(Tensor(student.encoder.encode(x)), np.array([0]), student.store)
+        j = _j("I", Tensor(student.encoder.encode(x)), np.array([0]), student.store)
         assert j.data == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_class_inverse_contribution(self):
@@ -79,7 +87,7 @@ class TestDistanceTerms:
             features = Tensor(gp)
             labels = np.array([1])
 
-        j = j_head1(Tensor(gx), np.array([0]), FakeStore())
+        j = _j("I", Tensor(gx), np.array([0]), FakeStore())
         assert j.data == pytest.approx(0.5, abs=1e-5)
 
     def test_j_headA_matches_loop_oracle(self):
@@ -99,7 +107,7 @@ class TestDistanceTerms:
                 alpha = 1 if labels_x[i] == student.store.labels[k] else -1
                 want += d if alpha == 1 else 1.0 / (d + L.EPS_J)
         want /= 6.0
-        got = j_headA(Tensor(fx), labels_x, student.store)
+        got = _j("II-A", Tensor(fx), labels_x, student.store)
         assert got.data == pytest.approx(want, abs=1e-9)
 
     def test_j_headB_equals_j_headA_constant_prototypes(self):
@@ -114,8 +122,8 @@ class TestDistanceTerms:
 
         fx = Tensor(rng.random((3, 2, 4, 4)))
         labels_x = np.array([0, 1, 0])
-        ja = j_headA(fx, labels_x, FakeStore())
-        jb = j_headB(fx, labels_x, FakeStore())
+        ja = _j("II-A", fx, labels_x, FakeStore())
+        jb = _j("II-B", fx, labels_x, FakeStore())
         assert jb.data == pytest.approx(ja.data, abs=1e-12)
 
     def test_j_headC_is_sum_of_two_sided_terms(self):
@@ -123,17 +131,17 @@ class TestDistanceTerms:
         student = micro_student("III-C", seed=8, k=3, classes=2)
         fx = Tensor(rng.random((2, *student.store.features.shape[1:])))
         labels_x = np.array([0, 1])
-        jc = j_headC(fx, labels_x, student.store)
-        jb = j_headB(fx, labels_x, student.store)
+        jc = _j("III-C", fx, labels_x, student.store)
+        jb = _j("II-B", fx, labels_x, student.store)
         assert jc.data >= jb.data - 1e-12  # the swapped term is nonnegative too
 
     def test_j_nonnegative_random(self):
         rng = np.random.default_rng(9)
-        for kind, fn in (("I", j_head1), ("II-A", j_headA), ("II-B", j_headB), ("III-C", j_headC)):
+        for kind in ("I", "II-A", "II-B", "III-C"):
             student = micro_student(kind, seed=10)
             feat_shape = student.store.features.shape[1:]
             fx = Tensor(rng.random((3, *feat_shape)))
-            assert fn(fx, rng.integers(0, 2, size=3), student.store).data >= 0.0
+            assert _j(kind, fx, rng.integers(0, 2, size=3), student.store).data >= 0.0
 
     def test_j_decreases_as_same_class_prototype_approaches_input(self):
         """Directional sign: moving a same-class prototype's features
@@ -150,7 +158,7 @@ class TestDistanceTerms:
         vals = []
         for t in (0.0, 0.5):
             store.features = Tensor(fp_arr + t * (fx_arr - fp_arr))
-            vals.append(float(j_headA(Tensor(fx_arr), np.array([0]), store).data))
+            vals.append(float(_j("II-A", Tensor(fx_arr), np.array([0]), store).data))
         assert vals[1] < vals[0]
 
 

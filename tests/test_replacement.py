@@ -4,7 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
+from protostudent import losses as L
+from protostudent import tensor as T
 from protostudent.encoder import EncoderConfig, train_teacher
+from protostudent.heads import head_forward
 from protostudent.losses import LossWeights
 from protostudent.replacement import (ParameterError, PruningError,
                                       ReplacementConfig, ReplacementError,
@@ -170,18 +174,41 @@ class TestTrainStudent:
         assert len(set(untouched)) == 1 and untouched[0] != 1.0
 
     def test_aux_branch_inert_at_lambda2_zero(self, tiny_teacher):
-        """With masking weight zero and replacement off, the loss
-        trajectory equals a run without the auxiliary branch."""
+        """With masking weight zero and replacement off, every step's loss
+        is the objective without the auxiliary term, bit for bit, and a
+        step's gradients equal those with the masked logits replaced by
+        the unmasked ones."""
         teacher, imgs, labs = tiny_teacher
         cfg = ReplacementConfig(p_fraction=0.0, epochs=2, seed=5, batch_size=16)
         w = LossWeights(1.0, 0.0, 0.1)
-        _, _, log_with = train_student(teacher, (imgs, labs), "II-A", cfg, w,
-                                       protos_per_class=2, compute_aux=True)
-        _, _, log_without = train_student(teacher, (imgs, labs), "II-A", cfg, w,
-                                          protos_per_class=2, compute_aux=False)
-        t_with = [r["loss"] for r in log_with if r["loss"] is not None]
-        t_without = [r["loss"] for r in log_without if r["loss"] is not None]
-        np.testing.assert_array_equal(t_with, t_without)
+        student, store, log = train_student(teacher, (imgs, labs), "II-A", cfg, w,
+                                            protos_per_class=2)
+        steps = [r for r in log if r["loss"] is not None]
+        assert len(steps) == 2 * 5  # 66 samples in D, batches of 16
+        for r in steps:
+            assert r["loss"] == (r["supervised"] + w.lam1 * r["distill"]) + w.lam3 * r["distance"]
+
+        batch = np.arange(0, len(imgs), 5)
+        y_teacher = teacher.forward(Tensor(imgs[batch])).data
+        params = student.params + [store.m_weights]
+
+        def grads(masked):
+            feats = student.encoder.forward(Tensor(np.concatenate([imgs[batch], store.images])))
+            fx, fp = T.split_rows(feats, [len(batch), len(store)])
+            store.features = fp
+            y, rec = head_forward(fx, store, student.head)
+            y_mask = masked_logits(rec.z, np.ones(len(store)), student.head) if masked else y
+            j = L.j_from_record(rec, labs[batch], store.labels)
+            total, _ = L.total_loss(labs[batch], y, y_teacher, y.data.argmax(axis=1),
+                                    y_mask, j, w)
+            for prm in params:
+                prm.zero_grad()
+            total.backward()
+            return [np.zeros_like(prm.data) if prm.grad is None else prm.grad.copy()
+                    for prm in params]
+
+        for g_mask, g_plain in zip(grads(True), grads(False)):
+            np.testing.assert_array_equal(g_mask, g_plain)
 
     def test_class_exhaustion_raises(self, tiny_teacher):
         teacher, imgs, labs = tiny_teacher
@@ -250,3 +277,19 @@ class TestPrune:
         cfg = ReplacementConfig(p_fraction=0.25, epochs=1, seed=8, batch_size=16)
         finetune(pruned, teacher, (imgs, labs), 1, cfg, LossWeights())
         np.testing.assert_array_equal(pruned.store.ids, ids_before)
+
+    @pytest.mark.parametrize("kind", ["I", "III-B"])
+    def test_finetune_matches_reference_loop(self, tiny_teacher, kind):
+        """The shared step loop with p = 0 reproduces the standalone
+        finetuning loop: same log records, bit-equal parameters and m."""
+        (student, _, _), imgs, labs = self._trained(tiny_teacher, kind)
+        teacher, _, _ = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=0.25, epochs=1, seed=9, batch_size=16)
+        ours, ref = prune(student, 0.25), prune(student, 0.25)
+        log = finetune(ours, teacher, (imgs, labs), 2, cfg, LossWeights())
+        want = oracles.finetune(ref, teacher, (imgs, labs), 2, cfg, LossWeights())
+        assert len(log) == 2 * 4  # 63 samples in D, batches of 16
+        assert log == want
+        for a, b in zip(ours.params + [ours.store.m_weights, ours.store.features],
+                        ref.params + [ref.store.m_weights, ref.store.features]):
+            np.testing.assert_array_equal(a.data, b.data)
