@@ -11,9 +11,13 @@ Six kinds are supported:
          prototype position (attention from the II-B map)
   III-C  separate attention maps for input and prototype, multiplied
 
-The per-position cosine maps for II-A and II-B are read out of one shared
-all-pairs cosine matrix (diagonal vs row max) so the dominance relation
-between the two kinds holds exactly, not just within float tolerance.
+Every spatial head gets its matched cosine map from one autodiff op,
+`tensor.matched_cosine`: one GEMM of all position pairs, read out at the
+aligned positions (-A), at each input position's best prototype position
+(-B), or at both row and column maxima (III-C). II-A and II-B read the
+same GEMM output, so the dominance relation between the two kinds holds
+exactly, not just within float tolerance. III-B contracts its attention
+at the matched positions with `tensor.matched_attended`.
 """
 from __future__ import annotations
 
@@ -23,9 +27,13 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import Encoder
-from .tensor import DimensionError, Tensor
+from .tensor import Tensor
 
 HEAD_KINDS = ("I", "II-A", "II-B", "III-A", "III-B", "III-C")
+
+# which position pairs each spatial head reads out of the all-pairs cosines
+_MATCH = {"II-A": "aligned", "II-B": "row", "III-A": "aligned", "III-B": "row",
+          "III-C": "row+col"}
 
 
 class ConfigurationError(ValueError):
@@ -76,8 +84,9 @@ class SimilarityRecord:
     relevance propagation, and the outlier scores.
 
     Batched over inputs (B) and prototypes (K); spatial grids are stored
-    flattened (HW). Argmax arrays hold flat positions and are constants
-    with respect to the graph.
+    flattened (HW). The cosine fields and argmax arrays are the outputs of
+    `tensor.matched_cosine`. Argmax arrays hold flat positions, first
+    index on ties, and are constants with respect to the graph.
     """
     kind: str
     hw_shape: tuple
@@ -87,8 +96,9 @@ class SimilarityRecord:
     gph: Tensor | None = None          # [K, C]
     cos: Tensor | None = None          # [B, K, HW] matched cosine per input position:
                                        # aligned (-A), row max (-B, III-C)
-    cos_p: Tensor | None = None        # [B, K, HW] column-max cosines (III-C)
-    argmax_p: np.ndarray | None = None  # [B, K, HW] best prototype position per input position
+    cos_p: Tensor | None = None        # [B, K, HW] column max per prototype position (III-C)
+    argmax_p: np.ndarray | None = None  # [B, K, HW] best prototype position per input
+                                        # position (-B, III-C; None when aligned)
     argmax_x: np.ndarray | None = None  # [B, K, HW] best input position per prototype position (III-C)
     attn: Tensor | None = None         # [B, K, HW] attention over input positions (III)
     attn_p: Tensor | None = None       # [B, K, HW] attention over prototype positions (III-C)
@@ -104,28 +114,6 @@ class SimilarityRecord:
 def _flatten_spatial(t: Tensor) -> Tensor:
     n, c, h, w = t.shape
     return T.reshape(t, (n, c, h * w))
-
-
-def cosine_allpairs(fxh: Tensor, fph: Tensor) -> Tensor:
-    """All-pairs position cosines: [B,C,HWx] x [K,C,HWp] -> [B,K,HWx,HWp]."""
-    bsz, c, hwx = fxh.shape
-    k, cp, hwp = fph.shape
-    if cp != c:
-        raise DimensionError(f"channel mismatch: {c} vs {cp}")
-    a2 = T.reshape(T.transpose(fxh, (0, 2, 1)), (bsz * hwx, c))
-    b2 = T.reshape(T.transpose(fph, (1, 0, 2)), (c, k * hwp))
-    m = T.matmul(a2, b2)
-    m4 = T.reshape(m, (bsz, hwx, k, hwp))
-    return T.transpose(m4, (0, 2, 1, 3))
-
-
-def _diag_positions(allpairs: Tensor) -> Tensor:
-    bsz, k, hw, hwp = allpairs.shape
-    if hw != hwp:
-        raise DimensionError("aligned similarity needs equal spatial grids")
-    base = np.arange(bsz * k).reshape(bsz, k, 1) * (hw * hwp)
-    flat = base + np.arange(hw) * (hwp + 1)
-    return T.take_flat(allpairs, flat)
 
 
 def _squared_column_norms(fh: Tensor) -> Tensor:
@@ -151,6 +139,8 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
     if model.w.shape[1] != k:
         raise ConfigurationError(f"head expects {model.w.shape[1]} prototypes, store has {k}")
     kind = model.kind
+    if kind not in HEAD_KINDS:
+        raise ConfigurationError(f"unknown head kind {kind!r}")
     if kind.startswith("III") and model.conv1d_w is None:
         raise ConfigurationError("Head III requires conv1d channel weights")
     if kind.startswith("III") and model.conv1d_w.shape[0] != fx.shape[1]:
@@ -171,46 +161,25 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
     fp_flat = _flatten_spatial(fp)
     fxh = T.l2_normalize(fx_flat, axis=1)
     fph = T.l2_normalize(fp_flat, axis=1)
-    allpairs = cosine_allpairs(fxh, fph)
     rec = SimilarityRecord(kind=kind, hw_shape=hw_shape, z=None,
                            norms_x=_squared_column_norms(fxh),
                            norms_p=_squared_column_norms(fph),
                            fxh=fxh, fph=fph, fx_raw=fx_flat, fp_raw=fp_flat)
+    rec.cos, rec.argmax_p, rec.cos_p, rec.argmax_x = T.matched_cosine(fxh, fph, _MATCH[kind])
+    if kind in ("II-A", "II-B"):
+        rec.z = T.tmean(rec.cos, axis=2)
+        return T.linear(rec.z, model.w, model.b), rec
 
-    if kind == "II-A":
-        rec.cos = _diag_positions(allpairs)
-        rec.z = T.tmean(rec.cos, axis=2)
-    elif kind == "II-B":
-        rec.cos, rec.argmax_p = T.tmax(allpairs, axis=3)
-        rec.z = T.tmean(rec.cos, axis=2)
-    elif kind == "III-A":
-        rec.cos = _diag_positions(allpairs)
-        rec.attn = T.softmax(rec.cos, axis=2)
+    rec.attn = T.softmax(rec.cos, axis=2)
+    if kind == "III-A":
         rec.attended = T.einsum("bki,bci,kci->bkc", rec.attn, fx_flat, fp_flat)
-        rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
     elif kind == "III-B":
-        rec.cos, arg = T.tmax(allpairs, axis=3)
-        rec.argmax_p = arg
-        rec.attn = T.softmax(rec.cos, axis=2)
-        bsz, kk, hw = rec.cos.shape
-        c = fx.shape[1]
-        # flat index into fp[k,c,j]: (k*C + c)*HW + arg[b,k,i]
-        base_kc = (np.arange(kk)[:, None] * c + np.arange(c)[None, :]) * hw
-        flat = base_kc[None, :, :, None] + arg[:, :, None, :]
-        fp_sel = T.take_flat(fp_flat, flat)
-        rec.attended = T.einsum("bki,bci,bkci->bkc", rec.attn, fx_flat, fp_sel)
-        rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
-    elif kind == "III-C":
-        rec.cos, rec.argmax_p = T.tmax(allpairs, axis=3)
-        rec.cos_p, rec.argmax_x = T.tmax(allpairs, axis=2)
-        rec.attn = T.softmax(rec.cos, axis=2)
+        rec.attended = T.matched_attended(rec.attn, fx_flat, fp_flat, rec.argmax_p)
+    else:
         rec.attn_p = T.softmax(rec.cos_p, axis=2)
         joint = T.mul(rec.attn, rec.attn_p)
         rec.attended = T.einsum("bki,bci,kci->bkc", joint, fx_flat, fp_flat)
-        rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
-    else:
-        raise ConfigurationError(f"unknown head kind {kind!r}")
-
+    rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
     return T.linear(rec.z, model.w, model.b), rec
 
 

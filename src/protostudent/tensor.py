@@ -6,6 +6,13 @@ softmax variants, channel normalization, and a finite-difference gradient
 checker. Data is stored row-major at 64-bit precision; gradients accumulate
 into same-shape buffers in a deterministic topological sweep.
 
+Two fused ops serve the spatial heads. `matched_cosine` reads the matched
+position cosines out of one all-pairs GEMM and sends their gradients
+back through that GEMM without an all-pairs-shaped gradient;
+`matched_attended` is the III-B contraction at matched prototype
+positions, whose prototype gradient is one batched GEMM instead of a
+scatter.
+
 Contractions run as plain np.einsum calls without a contraction-path
 search: at the head shapes a single C pass beats the FLOP-minimal order,
 whose intermediates and reshape copies cost more than the FLOPs they save.
@@ -69,9 +76,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -174,12 +178,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
-
-
-def assert_finite(t: Tensor, what: str = "tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise EvaluationError(f"non-finite values in {what}")
-    return t
 
 
 # -- elementwise ---------------------------------------------------------
@@ -453,6 +451,119 @@ def einsum(spec: str, *tensors) -> Tensor:
     return _node(out, tuple(ts), bw)
 
 
+# -- matched position cosines -------------------------------------------------
+
+MATCHES = ("aligned", "row", "row+col")
+
+
+def matched_cosine(fxh, fph, match: str) -> tuple:
+    """Cosine of each input position with its matched prototype position.
+
+    fxh [B,C,HW] and fph [K,C,HWp] hold unit (or zero) columns. One GEMM
+    gives every position pair's cosine as m [B*HW, K*HWp]; `match` says
+    which entries of each (b, k) block are read out:
+
+      aligned  input position i against prototype position i (HW == HWp)
+      row      per input position, the max over prototype positions
+      row+col  row, plus per prototype position the max over input
+               positions
+
+    Ties go to the first index, as np.argmax breaks them. Returns
+    (cos [B,K,HW], arg_p, cos_p [B,K,HWp], arg_x): arg_p [B,K,HW] is the
+    best prototype position per input position (None when aligned), and
+    cos_p with arg_x [B,K,HWp] exist for row+col only.
+
+    m is the op's one inner graph node. Each selection adds its gradient
+    into m's gradient buffer at the entries it read, and m's backward is
+    the matmul backward: no [B,K,HW,HWp] view of m enters the graph, and
+    no all-pairs-sized gradient is transposed or copied.
+    """
+    fxh, fph = _as_tensor(fxh), _as_tensor(fph)
+    bsz, c, hw = fxh.shape
+    k, cp, hwp = fph.shape
+    if cp != c:
+        raise DimensionError(f"channel mismatch: {c} vs {cp}")
+    if match not in MATCHES:
+        raise ValueError(f"unknown match {match!r}")
+    if match == "aligned" and hw != hwp:
+        raise DimensionError("aligned similarity needs equal spatial grids")
+    a2 = fxh.data.transpose(0, 2, 1).reshape(bsz * hw, c)
+    b2 = fph.data.transpose(1, 0, 2).reshape(c, k * hwp)
+    m = a2 @ b2
+
+    def pairs_bw(g):
+        _accum(fxh, (g @ b2.T).reshape(bsz, hw, c).transpose(0, 2, 1))
+        _accum(fph, (a2.T @ g).reshape(c, k, hwp).transpose(1, 0, 2))
+
+    pairs = _node(m, (fxh, fph), pairs_bw)
+    # flat offset of block (b, k) into m, as [B, K, 1]
+    block = (np.arange(bsz)[:, None, None] * hw * k + np.arange(k)[None, :, None]) * hwp
+
+    def select(flat):
+        def bw(g):
+            if pairs.grad is None:
+                pairs.grad = np.zeros_like(m)
+            # each selection reads distinct entries, so one fancy add is exact
+            pairs.grad.reshape(-1)[flat] += g
+
+        return _node(m.reshape(-1)[flat], (pairs,), bw)
+
+    rows = np.arange(hw) * (k * hwp)                 # offset of input position i
+    if match == "aligned":
+        return select(block + rows + np.arange(hw)), None, None, None
+    arg_p = m.reshape(bsz, hw, k, hwp).argmax(axis=3).transpose(0, 2, 1)   # [B, K, HW]
+    cos = select(block + rows + arg_p)
+    if match == "row":
+        return cos, arg_p, None, None
+    # first input position holding each column max, without argmax, which
+    # would copy m to bring the input axis innermost: the max over input
+    # positions, then the lowest position equal to it as a max over
+    # reversed position codes; both reductions run along contiguous rows
+    mc = m.reshape(bsz, hw, k * hwp)
+    top = mc.max(axis=1)
+    code = np.arange(hw, 0, -1, dtype=np.min_scalar_type(hw))[:, None]
+    first = ((mc == top[:, None]) * code).max(axis=1).astype(np.intp)
+    arg_x = np.minimum(hw - first, hw - 1).reshape(bsz, k, hwp)   # a NaN column keeps hw - 1
+    cos_p = select(block + arg_x * (k * hwp) + np.arange(hwp))
+    return cos, arg_p, cos_p, arg_x
+
+
+def matched_attended(attn, fx, fp, arg_p) -> Tensor:
+    """Attended products at matched positions (Head III-B):
+    out[b,k,c] = sum_i attn[b,k,i] * fx[b,c,i] * fp[k,c,arg_p[b,k,i]].
+
+    attn [B,K,HW], fx [B,C,HW], fp [K,C,HWp], arg_p [B,K,HW] -> [B,K,C].
+    The forward gathers whole channel rows of fp at the matched positions,
+    fp_sel [B,K,HW,C], and contracts them in one einsum pass. The fp
+    gradient is contracted straight into [K,C,HWp] instead of being formed
+    at fp_sel's shape and scattered back: with the one-hot attention
+    W[b,i,(k,j)] = attn[b,k,i] where j = arg_p[b,k,i], U[b] = fx[b] @ W[b]
+    is one batched GEMM and d fp[k,c,j] = sum_b g[b,k,c] * U[b,c,k,j].
+    """
+    attn, fx, fp = _as_tensor(attn), _as_tensor(fx), _as_tensor(fp)
+    bsz, k, hw = attn.shape
+    _, c, hwp = fp.shape
+    sel = np.arange(k)[:, None] * hwp + arg_p          # row (k, j) of fp as [K*HWp, C]
+    fp_sel = np.take(fp.data.transpose(0, 2, 1).reshape(k * hwp, c), sel, axis=0)
+    out = np.einsum("bki,bci,bkic->bkc", attn.data, fx.data, fp_sel)
+
+    def bw(g):
+        if attn.requires_grad:
+            _accum(attn, np.einsum("bkc,bci,bkic->bki", g, fx.data, fp_sel))
+        if fx.requires_grad:
+            _accum(fx, np.einsum("bkc,bki,bkic->bci", g, attn.data, fp_sel))
+        if fp.requires_grad:
+            w = np.zeros((bsz, hw, k * hwp))
+            w.reshape(-1)[(np.arange(bsz)[:, None, None] * hw + np.arange(hw)) * (k * hwp)
+                          + sel] = attn.data
+            u = np.matmul(fx.data, w).reshape(bsz, c, k, hwp)
+            # sum over b as one [1,B] @ [B,HWp] product per (c, k)
+            d = np.matmul(g.transpose(2, 1, 0)[:, :, None, :], u.transpose(1, 2, 0, 3))
+            _accum(fp, d[:, :, 0, :].transpose(1, 0, 2))
+
+    return _node(out, (attn, fx, fp), bw)
+
+
 # -- softmax family ----------------------------------------------------------
 
 def softmax(t, axis=-1) -> Tensor:
@@ -504,13 +615,6 @@ def l2_normalize(t, axis, eps: float = EPS_NORM) -> Tensor:
     return _node(y, (t,), bw)
 
 
-def l2_normalize_channels(t, eps: float = EPS_NORM) -> Tensor:
-    """Per-position channel normalization of a [C,H,W] or [N,C,H,W] map."""
-    t = _as_tensor(t)
-    axis = 0 if t.ndim == 3 else 1
-    return l2_normalize(t, axis=axis, eps=eps)
-
-
 def avgpool_spatial(t) -> Tensor:
     """Spatial average pooling: [C,H,W] -> [C] or [N,C,H,W] -> [N,C]."""
     t = _as_tensor(t)
@@ -544,13 +648,31 @@ def _im2col_plan(c, h, w, kh, kw, stride, pad):
     return plan
 
 
+_COL2IM_FLAT: dict = {}
+
+
 def _col2im_add(dst, cols, kh, kw, stride):
     """Adjoint of the im2col gather: add columns [t, C*kh*kw, H2*W2] into
-    the padded maps dst [t, C, Hp, Wp], one strided slice-add per kernel
-    tap."""
+    the padded maps dst [t, C, Hp, Wp].
+
+    Output rows of 16 or more positions take one strided slice-add per
+    kernel tap. On narrower rows those adds run inner loops of a few
+    elements, so one bincount over a cached flat index replaces them (2 to
+    3 times faster at the encoder's 8x8 and 4x4 outputs). Both add each
+    position's taps in the same order, so the result is the same.
+    """
     t, c, hp, wp = dst.shape
     h2 = (hp - kh) // stride + 1
     w2 = (wp - kw) // stride + 1
+    if w2 < 16:
+        key = (t, c, hp, wp, kh, kw, stride)
+        flat = _COL2IM_FLAT.get(key)
+        if flat is None:
+            idx = _im2col_plan(c, hp, wp, kh, kw, stride, 0)[0]
+            flat = (idx + np.arange(t)[:, None, None] * (c * hp * wp)).ravel()
+            _COL2IM_FLAT[key] = flat
+        dst += np.bincount(flat, weights=cols.ravel(), minlength=dst.size).reshape(dst.shape)
+        return
     taps = cols.reshape(t, c, kh, kw, h2, w2)
     for i in range(kh):
         for j in range(kw):

@@ -2,10 +2,15 @@
 
 The single-pair similarity operations are value-level views of the
 batched head machinery in `protostudent.heads`: one (input, prototype)
-pair of [C,H,W] feature maps in, plain arrays out. `finetune` is the
-post-pruning loop as it stood before training and finetuning shared one
-step loop (`replacement._fit`); the new loop must reproduce it bit for
-bit.
+pair of [C,H,W] feature maps in, plain arrays out. The all-pairs
+operations are the batched head path as it stood before the matched
+cosines and the III-B contraction became fused autodiff ops
+(`tensor.matched_cosine`, `tensor.matched_attended`): a dense
+[B,K,HW,HWp] cosine node, a diagonal gather or `tmax` on it, and a
+gathered [B,K,C,HW] prototype tensor; the fused ops must reproduce their
+values bit for bit. `finetune` is the post-pruning loop as it stood
+before training and finetuning shared one step loop (`replacement._fit`);
+the new loop must reproduce it bit for bit.
 """
 from __future__ import annotations
 
@@ -25,6 +30,62 @@ from protostudent.tensor import DimensionError, Tensor
 log = logging.getLogger(__name__)
 
 
+def l2_normalize_channels(t, eps: float = T.EPS_NORM) -> Tensor:
+    """Per-position channel normalization of a [C,H,W] or [N,C,H,W] map."""
+    t = T._as_tensor(t)
+    axis = 0 if t.ndim == 3 else 1
+    return T.l2_normalize(t, axis=axis, eps=eps)
+
+
+# -- the all-pairs head path before the fused ops ----------------------------
+
+def cosine_allpairs(fxh: Tensor, fph: Tensor) -> Tensor:
+    """All-pairs position cosines: [B,C,HWx] x [K,C,HWp] -> [B,K,HWx,HWp]."""
+    bsz, c, hwx = fxh.shape
+    k, cp, hwp = fph.shape
+    if cp != c:
+        raise DimensionError(f"channel mismatch: {c} vs {cp}")
+    a2 = T.reshape(T.transpose(fxh, (0, 2, 1)), (bsz * hwx, c))
+    b2 = T.reshape(T.transpose(fph, (1, 0, 2)), (c, k * hwp))
+    m = T.matmul(a2, b2)
+    m4 = T.reshape(m, (bsz, hwx, k, hwp))
+    return T.transpose(m4, (0, 2, 1, 3))
+
+
+def _diag_positions(allpairs: Tensor) -> Tensor:
+    bsz, k, hw, hwp = allpairs.shape
+    if hw != hwp:
+        raise DimensionError("aligned similarity needs equal spatial grids")
+    base = np.arange(bsz * k).reshape(bsz, k, 1) * (hw * hwp)
+    flat = base + np.arange(hw) * (hwp + 1)
+    return T.take_flat(allpairs, flat)
+
+
+def matched_cosine_allpairs(fxh: Tensor, fph: Tensor, match: str) -> tuple:
+    """`tensor.matched_cosine` through the dense all-pairs node."""
+    allpairs = cosine_allpairs(fxh, fph)
+    if match == "aligned":
+        return _diag_positions(allpairs), None, None, None
+    cos, arg_p = T.tmax(allpairs, axis=3)
+    if match == "row":
+        return cos, arg_p, None, None
+    cos_p, arg_x = T.tmax(allpairs, axis=2)
+    return cos, arg_p, cos_p, arg_x
+
+
+def matched_attended_gather(attn: Tensor, fx_flat: Tensor, fp_flat: Tensor,
+                            arg: np.ndarray) -> Tensor:
+    """`tensor.matched_attended` as a `take_flat` gather of [B,K,C,HW]
+    prototype columns and a three-operand einsum."""
+    bsz, kk, hw = attn.shape
+    c = fx_flat.shape[1]
+    # flat index into fp[k,c,j]: (k*C + c)*HW + arg[b,k,i]
+    base_kc = (np.arange(kk)[:, None] * c + np.arange(c)[None, :]) * hw
+    flat = base_kc[None, :, :, None] + arg[:, :, None, :]
+    fp_sel = T.take_flat(fp_flat, flat)
+    return T.einsum("bki,bci,bkci->bkc", attn, fx_flat, fp_sel)
+
+
 # -- single-pair similarity operations --------------------------------------
 
 def _pair_setup(fx, fp):
@@ -35,8 +96,8 @@ def _pair_setup(fx, fp):
     if fx.shape[1] * fx.shape[2] == 0 or fp.shape[1] * fp.shape[2] == 0:
         raise DimensionError("empty spatial grid")
     with T.no_grad():
-        fxh = T.l2_normalize_channels(Tensor(fx)).data
-        fph = T.l2_normalize_channels(Tensor(fp)).data
+        fxh = l2_normalize_channels(Tensor(fx)).data
+        fph = l2_normalize_channels(Tensor(fp)).data
     c = fx.shape[0]
     return fxh.reshape(c, -1), fph.reshape(c, -1)
 

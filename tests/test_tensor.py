@@ -2,16 +2,18 @@
 oracles, and reverse-mode gradients against central differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protostudent import tensor as T
 from protostudent.heads import HEAD_KINDS
 from protostudent.tensor import DimensionError, EvaluationError, Tensor
 
 from conftest import micro_student
+from oracles import l2_normalize_channels, matched_attended_gather, matched_cosine_allpairs
 
 # every contraction heads.head_forward passes to T.einsum; pinned to the
 # code by test_head_einsum_specs_listed
-HEAD_EINSUM_SPECS = ("bki,bci,kci->bkc", "bki,bci,bkci->bkc", "bkc,c->bk")
+HEAD_EINSUM_SPECS = ("bki,bci,kci->bkc", "bkc,c->bk")
 
 
 def conv2d_loops(x, k, stride, pad):
@@ -67,6 +69,24 @@ class TestConv2d:
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
             T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
+
+    @pytest.mark.parametrize("w2", [1, 4, 15, 16, 20])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_col2im_matches_scatter_oracle(self, w2, stride):
+        """Both col2im paths (one bincount below 16 output columns, slice-
+        adds from 16 on) equal an np.add.at scatter through the im2col
+        index, bit for bit."""
+        rng = np.random.default_rng([w2, stride])
+        t, c, kh, h2 = 3, 2, 3, 3
+        hp, wp = stride * (h2 - 1) + kh, stride * (w2 - 1) + kh
+        idx = T._im2col_plan(c, hp, wp, kh, kh, stride, 0)[0]
+        cols = rng.standard_normal((t, *idx.shape))
+        got = np.zeros((t, c, hp, wp))
+        T._col2im_add(got, cols, kh, kh, stride)
+        want = np.zeros((t, c * hp * wp))
+        for i in range(t):
+            np.add.at(want[i], idx, cols[i])
+        np.testing.assert_array_equal(got.reshape(t, -1), want)
 
     def test_oversized_kernel_raises(self):
         with pytest.raises(DimensionError):
@@ -163,10 +183,10 @@ class TestSimplePrimitives:
 
     def test_l2_normalize_hand_case(self):
         v = Tensor(np.array([3.0, 4.0]).reshape(2, 1, 1))
-        np.testing.assert_allclose(T.l2_normalize_channels(v).data.reshape(-1), [0.6, 0.8])
+        np.testing.assert_allclose(l2_normalize_channels(v).data.reshape(-1), [0.6, 0.8])
 
     def test_l2_normalize_zero_vector_stays_zero(self):
-        out = T.l2_normalize_channels(Tensor(np.zeros((3, 2, 2))))
+        out = l2_normalize_channels(Tensor(np.zeros((3, 2, 2))))
         assert np.isfinite(out.data).all()
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -199,6 +219,142 @@ class TestSimplePrimitives:
         idx = np.array([[0, 5], [11, 5]])
         out = T.take_flat(Tensor(x), idx)
         np.testing.assert_array_equal(out.data, x.ravel()[idx])
+
+
+def _unit_columns(rng, shape, dead_share, constant):
+    """[N,C,HW] normalized columns: random directions, a share of dead
+    (zero) columns, and with `constant` every column of item 0 equal, so
+    each of its maxima is a tie across all positions. Small integer
+    entries make further exact ties between columns likely."""
+    raw = rng.integers(-2, 3, size=shape).astype(np.float64)
+    raw[:, :, rng.random(shape[2]) < dead_share] = 0.0
+    if constant:
+        raw[0] = raw[0, :, :1]
+    with T.no_grad():
+        return T.l2_normalize(Tensor(raw), axis=1).data
+
+
+def _weighted_sum(rng, outs):
+    """Scalar sum of each output times fixed random weights."""
+    total = Tensor(0.0)
+    for t in outs:
+        if t is not None:
+            total = T.add(total, T.tsum(T.mul(t, rng.standard_normal(t.shape))))
+    return total
+
+
+class TestMatchedCosine:
+    """The fused matched-cosine op against the dense all-pairs path it
+    replaced (tests/oracles.py): values and argmax bit-equal, gradients to
+    1e-12, and gradients against central differences."""
+
+    @pytest.mark.parametrize("match", T.MATCHES)
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), k=st.integers(1, 3),
+           c=st.integers(1, 4), hw=st.integers(1, 6), hwp=st.integers(1, 6),
+           dead_share=st.sampled_from([0.0, 0.3]), constant=st.booleans())
+    def test_matches_allpairs_oracle(self, match, seed, b, k, c, hw, hwp, dead_share, constant):
+        if match == "aligned":
+            hwp = hw
+        rng = np.random.default_rng(seed)
+        xd = _unit_columns(rng, (b, c, hw), dead_share, False)
+        pd = _unit_columns(rng, (k, c, hwp), dead_share, constant)
+        fx, fp = Tensor(xd, requires_grad=True), Tensor(pd, requires_grad=True)
+        ox, op = Tensor(xd, requires_grad=True), Tensor(pd, requires_grad=True)
+        got = T.matched_cosine(fx, fp, match)
+        want = matched_cosine_allpairs(ox, op, match)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                np.testing.assert_array_equal(getattr(g, "data", g), getattr(w, "data", w))
+        wseed = rng.integers(2**32)
+        _weighted_sum(np.random.default_rng(wseed), [got[0], got[2]]).backward()
+        _weighted_sum(np.random.default_rng(wseed), [want[0], want[2]]).backward()
+        np.testing.assert_allclose(fx.grad, ox.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fp.grad, op.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("match", T.MATCHES)
+    def test_gradients_against_central_differences(self, match):
+        rng = np.random.default_rng([T.MATCHES.index(match), 31])
+        hwp = 4 if match == "aligned" else 3
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        p = Tensor(rng.standard_normal((2, 3, hwp)), requires_grad=True)
+        w_cos, w_p = rng.standard_normal((2, 2, 4)), rng.standard_normal((2, 2, hwp))
+
+        def fn():
+            cos, _, cos_p, _ = T.matched_cosine(T.l2_normalize(x, axis=1),
+                                                T.l2_normalize(p, axis=1), match)
+            total = T.tsum(T.mul(cos, w_cos))
+            return total if cos_p is None else T.add(total, T.tsum(T.mul(cos_p, w_p)))
+
+        assert T.grad_check(fn, [x, p], h=1e-6) < 1e-6
+
+    def test_first_index_wins_ties(self):
+        p = Tensor(np.ones((1, 2, 3)) / np.sqrt(2.0))
+        x = Tensor(np.ones((1, 2, 2)) / np.sqrt(2.0))
+        _, arg_p, _, arg_x = T.matched_cosine(x, p, "row+col")
+        np.testing.assert_array_equal(arg_p, 0)
+        np.testing.assert_array_equal(arg_x, 0)
+
+    def test_graph_is_gemm_node_plus_selections(self):
+        """The op's graph is the GEMM node [B*HW, K*HWp] plus one node per
+        selection; no [B,K,HW,HWp] view or transpose node sits between."""
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        p = Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+        cos, _, cos_p, _ = T.matched_cosine(x, p, "row+col")
+        (pairs,) = cos._parents
+        assert cos_p._parents == (pairs,)
+        assert pairs.shape == (2 * 4, 3 * 4) and pairs._parents == (x, p)
+
+    def test_shape_errors(self):
+        x, p = Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 2, 3)))
+        with pytest.raises(DimensionError):
+            T.matched_cosine(x, p, "aligned")
+        with pytest.raises(DimensionError):
+            T.matched_cosine(x, Tensor(np.zeros((1, 3, 4))), "row")
+        with pytest.raises(ValueError):
+            T.matched_cosine(x, p, "col")
+
+
+class TestMatchedAttended:
+    """The III-B contraction against the gather-and-einsum path it
+    replaced, and against central differences."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), k=st.integers(1, 3),
+           c=st.integers(1, 4), hw=st.integers(1, 6), constant=st.booleans())
+    def test_matches_gather_oracle(self, seed, b, k, c, hw, constant):
+        rng = np.random.default_rng(seed)
+        fxh = _unit_columns(rng, (b, c, hw), 0.3, False)
+        fph = _unit_columns(rng, (k, c, hw), 0.3, constant)
+        with T.no_grad():
+            cos, arg, _, _ = T.matched_cosine(Tensor(fxh), Tensor(fph), "row")
+        ad = T.softmax(cos, axis=2).data
+        xd, pd = rng.random((b, c, hw)), rng.random((k, c, hw))
+        got_in = [Tensor(v, requires_grad=True) for v in (ad, xd, pd)]
+        want_in = [Tensor(v, requires_grad=True) for v in (ad, xd, pd)]
+        got = T.matched_attended(*got_in, arg)
+        want = matched_attended_gather(*want_in, arg)
+        np.testing.assert_array_equal(got.data, want.data)
+        g = rng.standard_normal(got.shape)
+        got.backward(g)
+        want.backward(g)
+        for a, w in zip(got_in, want_in):
+            np.testing.assert_allclose(a.grad, w.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_against_central_differences(self, seed):
+        rng = np.random.default_rng([seed, 10])
+        attn = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        fx = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+        fp = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        arg = rng.integers(0, 5, size=(2, 3, 5))
+
+        def fn():
+            return T.tsum(T.square(T.matched_attended(attn, fx, fp, arg)))
+
+        assert T.grad_check(fn, [attn, fx, fp], h=1e-5) < 1e-4
 
 
 class TestGradients:
