@@ -15,9 +15,12 @@ positive exactly when k and c share a sign, so with k+/k- and c+/c- the
 clamped kernel and input columns the positive pool is k+@c+ + k-@c- and
 the negative pool k+@c- + k-@c+, and relevance returns through the
 transposed clamped kernels. No per-connection [F, C*kh*kw, H*W] tensor is
-built. One explain call runs one ranking forward, one recorded encoder
-forward over the input and its k prototypes, and one relevance sweep over
-the 2k stacked sides.
+built. A layer whose input has no negative entry (images in [0, 1], ReLU
+outputs: every layer the encoder records) has c- = 0, so its pools are
+k+@c and k-@c and half the GEMMs drop out; this is the z+ case of deep
+Taylor decomposition for ReLU inputs. One explain call runs one ranking
+forward, one recorded encoder forward over the input and its k
+prototypes, and one relevance sweep over the 2k stacked sides.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import numpy as np
 
 from .heads import StudentModel
 from .outlier import u_from_record
+from .tensor import DimensionError, _col2im_add, _im2col_plan
 
 _ALPHA_DEFAULT = 1.7
 _BETA_DEFAULT = 0.7
@@ -72,48 +76,53 @@ def _safe_ratio(num, den):
     return np.where(ok, np.asarray(num, dtype=np.float64) / np.where(ok, den, 1.0), 0.0)
 
 
-def lrp_linear_eps(a: np.ndarray, w: np.ndarray, b, r_out: np.ndarray,
-                   eps: float) -> np.ndarray:
-    """Epsilon rule through y = w @ a + b; bias counts into the
-    denominator as neuron zero. Zero denominators contribute nothing."""
-    a = np.asarray(a, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    r_out = np.asarray(r_out, dtype=np.float64)
-    z = w @ a + (0.0 if b is None else np.asarray(b, dtype=np.float64))
-    factor = _safe_ratio(r_out, _stab(z, eps))
-    return a * (w.T @ factor)
-
-
 def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarray,
                        params: LrpParams, stride: int, pad: int) -> np.ndarray:
     """Alpha/beta rule through one conv layer, for one sample a [C,H,W]
-    with r_out [F,H2,W2] or a batch a [N,C,H,W] with r_out [N,F,H2,W2].
+    with r_out [F,H2,W2] or a batch a [N,C,H,W] with r_out [N,F,H2,W2],
+    and a kernel [F,C,kh,kw]; other shapes raise DimensionError.
 
     Positive and negative pre-activation contributions are normalized
     separately; bias halves join their respective pools. All-zero pools
     contribute nothing. The pools and the returned relevance are sums of
     four GEMMs over the sign-clamped kernel and input columns (module
-    docstring), gathered once for the whole batch.
+    docstring), gathered once for the whole batch. When a has no negative
+    entry, c+ is the columns themselves and every c- term is an exact
+    zero, so only the pools k+@c, k-@c and the c+ relevance are computed.
+    Dropping terms that are all +-0 leaves every nonzero value unchanged;
+    a signed input keeps all four GEMMs.
     """
-    from .tensor import _col2im_add, _im2col_plan  # shared conv geometry
-
     a = np.asarray(a, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     r_out = np.asarray(r_out, dtype=np.float64)
+    a_shape = a.shape
+    if a.ndim not in (3, 4) or kernel.ndim != 4 or kernel.shape[1] != a_shape[-3]:
+        raise DimensionError(f"alpha/beta conv needs a [C,H,W] or [N,C,H,W] input and an "
+                             f"[F,C,kh,kw] kernel, got {a_shape} and {kernel.shape}")
     squeeze = a.ndim == 3
     if squeeze:
-        a, r_out = a[None], r_out[None]
+        a = a[None]
     n, c, h, w = a.shape
     f, _, kh, kw = kernel.shape
     idx, hp, wp, h2, w2 = _im2col_plan(c, h, w, kh, kw, stride, pad)
+    expected = (f, h2, w2) if squeeze else (n, f, h2, w2)
+    if r_out.shape != expected:
+        raise DimensionError(f"r_out {r_out.shape} does not match the conv output {expected} "
+                             f"of input {a_shape} and kernel {kernel.shape}")
     ap = np.zeros((n, c, hp, wp))
     ap[:, :, pad:pad + h, pad:pad + w] = a
     cols = np.take(ap.reshape(n, c * hp * wp), idx, axis=1)   # [N, M, L]
-    cp, cn = np.maximum(cols, 0.0), np.minimum(cols, 0.0)
     k2 = kernel.reshape(f, c * kh * kw)
     kp, kn = np.maximum(k2, 0.0), np.minimum(k2, 0.0)
-    pos_tot = kp @ cp + kn @ cn                    # [N, F, L]
-    neg_tot = kp @ cn + kn @ cp
+    signed = bool((a < 0.0).any())
+    if signed:
+        cp, cn = np.maximum(cols, 0.0), np.minimum(cols, 0.0)
+        pos_tot = kp @ cp + kn @ cn                # [N, F, L]
+        neg_tot = kp @ cn + kn @ cp
+    else:
+        cp = cols
+        pos_tot = kp @ cp
+        neg_tot = kn @ cp
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         pos_tot += np.maximum(bias, 0.0)[:, None]
@@ -126,8 +135,9 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
     coeff_neg = np.where(pos_tot != 0.0, params.beta, -1.0)
     fac_pos = coeff_pos * _safe_ratio(r2, pos_tot)
     fac_neg = coeff_neg * _safe_ratio(r2, neg_tot)
-    r_cols = (cp * (kp.T @ fac_pos - kn.T @ fac_neg)
-              + cn * (kn.T @ fac_pos - kp.T @ fac_neg))
+    r_cols = cp * (kp.T @ fac_pos - kn.T @ fac_neg)
+    if signed:
+        r_cols += cn * (kn.T @ fac_pos - kp.T @ fac_neg)
     r_pad = np.zeros((n, c, hp, wp))
     _col2im_add(r_pad, r_cols, kh, kw, stride)
     r_in = r_pad[:, :, pad:hp - pad, pad:wp - pad] if pad else r_pad
@@ -277,7 +287,7 @@ def _similarity_split(student: StudentModel, k: int, r_sim: np.ndarray,
 
 
 def _pairs(student: StudentModel, x: np.ndarray, ks: list, params: LrpParams | None,
-           relevance_scale: float = 1.0, fwd=None) -> list:
+           fwd=None) -> list:
     """Heatmap pairs for (x, prototype k) for every k in ks, from one
     recorded forward and one relevance sweep over the stacked sides."""
     if not ks:
@@ -285,8 +295,7 @@ def _pairs(student: StudentModel, x: np.ndarray, ks: list, params: LrpParams | N
     params = params or LrpParams()
     x = np.asarray(x, dtype=np.float64)
     st = _forward_state(student, x, ks, fwd)
-    r_sims = [relevance_at_similarity(student, x, k, params, state=st) * relevance_scale
-              for k in ks]
+    r_sims = [relevance_at_similarity(student, x, k, params, state=st) for k in ks]
     sides = [_similarity_split(student, k, r, st, params.epsilon) for k, r in zip(ks, r_sims)]
     n = len(ks)
     # rows 0..n-1 are the input sides (record row 0), rows n..2n-1 the
@@ -303,14 +312,9 @@ def _pairs(student: StudentModel, x: np.ndarray, ks: list, params: LrpParams | N
 
 
 def heatmaps(student: StudentModel, x: np.ndarray, k: int,
-             params: LrpParams | None = None,
-             relevance_scale: float = 1.0) -> RelevancePair:
-    """Paired pixel heatmaps for (x, prototype k).
-
-    relevance_scale multiplies the seed relevance at the logit; heatmaps
-    are linear in it.
-    """
-    return _pairs(student, x, [k], params, relevance_scale)[0]
+             params: LrpParams | None = None) -> RelevancePair:
+    """Paired pixel heatmaps for (x, prototype k)."""
+    return _pairs(student, x, [k], params)[0]
 
 
 def explain(student: StudentModel, x: np.ndarray, topk: int = 1,

@@ -10,7 +10,9 @@ cosines and the III-B contraction became fused autodiff ops
 gathered [B,K,C,HW] prototype tensor; the fused ops must reproduce their
 values bit for bit. `finetune` is the post-pruning loop as it stood
 before training and finetuning shared one step loop (`replacement._fit`);
-the new loop must reproduce it bit for bit.
+the new loop must reproduce it bit for bit. `lrp_linear_eps` is the
+epsilon rule through one dense layer, the rule the relevance code writes
+out inline for the logit, similarity and pooling layers.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from protostudent import tensor as T
 from protostudent.encoder import TeacherModel
 from protostudent.heads import StudentModel, head_forward
 from protostudent.losses import LossWeights
+from protostudent.lrp import _safe_ratio, _stab
 from protostudent.optim import SGD
 from protostudent.replacement import ReplacementConfig, masked_logits
 from protostudent.tensor import DimensionError, Tensor
@@ -35,6 +38,18 @@ def l2_normalize_channels(t, eps: float = T.EPS_NORM) -> Tensor:
     t = T._as_tensor(t)
     axis = 0 if t.ndim == 3 else 1
     return T.l2_normalize(t, axis=axis, eps=eps)
+
+
+def lrp_linear_eps(a: np.ndarray, w: np.ndarray, b, r_out: np.ndarray,
+                   eps: float) -> np.ndarray:
+    """Epsilon rule through y = w @ a + b; bias counts into the
+    denominator as neuron zero. Zero denominators contribute nothing."""
+    a = np.asarray(a, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    r_out = np.asarray(r_out, dtype=np.float64)
+    z = w @ a + (0.0 if b is None else np.asarray(b, dtype=np.float64))
+    factor = _safe_ratio(r_out, _stab(z, eps))
+    return a * (w.T @ factor)
 
 
 # -- the all-pairs head path before the fused ops ----------------------------

@@ -51,6 +51,24 @@ class TestEncoder:
         for _ in range(50):
             assert (enc.encode(rng.random((3, 8, 8))) >= 0).all()
 
+    @pytest.mark.parametrize("config", [SMALL, EncoderConfig()], ids=["small", "default"])
+    def test_recorded_block_inputs_nonnegative(self, config):
+        """Every block input relevance propagation reads is >= 0 for images
+        in [0, 1], with biases of both signs: the image itself, then ReLU
+        outputs. The alpha/beta rule's nonnegative-input branch rests on
+        this."""
+        enc = Encoder(config, seed=8)
+        rng = np.random.default_rng(9)
+        for b in enc.biases:
+            b.data = rng.standard_normal(b.shape)
+        images = rng.random((5, config.in_channels, *config.input_size))
+        images[0] = 0.0
+        images[1] = 1.0
+        _, records = enc.forward_recorded(images)
+        assert len(records) == len(config.blocks)
+        for rec in records:
+            assert (rec["input"] >= 0).all()
+
     def test_shape_mismatch_raises(self):
         enc = Encoder(SMALL, seed=0)
         with pytest.raises(DimensionError):

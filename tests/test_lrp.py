@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from protostudent import tensor as T
 from protostudent.encoder import Encoder, EncoderConfig
 from protostudent.heads import StudentModel
-from protostudent.lrp import (LrpParams, PropagationError, explain, export_pair,
-                              heatmaps, lrp_conv_alphabeta, lrp_linear_eps,
+from protostudent.lrp import (LrpParams, PropagationError, encoder_lrp, explain,
+                              export_pair, heatmaps, lrp_conv_alphabeta,
                               relevance_at_similarity)
-from protostudent.tensor import Tensor, _im2col_plan
+from protostudent.tensor import DimensionError, Tensor, _im2col_plan
 
 from conftest import MICRO_CONFIG, micro_student
+from oracles import lrp_linear_eps
 
 
 class TestLrpParams:
@@ -96,18 +97,23 @@ class TestConvAlphaBeta:
            f=st.integers(1, 4), kh=st.integers(1, 3), kw=st.integers(1, 3),
            extra_h=st.integers(0, 4), extra_w=st.integers(0, 4),
            stride=st.integers(1, 2), pad=st.integers(0, 1), with_bias=st.booleans(),
-           positive_kernel=st.booleans(), zero_share=st.sampled_from([0.0, 0.3, 0.7]))
+           positive_kernel=st.booleans(), zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+           nonnegative=st.booleans())
     def test_batched_sign_split_matches_oracle(self, seed, n, c, f, kh, kw, extra_h, extra_w,
                                                stride, pad, with_bias, positive_kernel,
-                                               zero_share):
+                                               zero_share, nonnegative):
         """The batched sign-split rule equals the per-sample contribution
         tensor oracle: signed inputs with exact zeros, biases on and off,
-        and all-positive kernels, whose negative pool is empty wherever
-        the input is nonnegative."""
+        all-positive kernels, whose negative pool is empty wherever the
+        input is nonnegative, and whole nonnegative batches (the engine's
+        case: images in [0, 1], ReLU outputs), which skip the rule's
+        negative-input half."""
         rng = np.random.default_rng(seed)
         h, w = kh + extra_h, kw + extra_w
         a = rng.standard_normal((n, c, h, w))
         a[rng.random(a.shape) < zero_share] = 0.0
+        if nonnegative:
+            a = np.abs(a)
         kernel = rng.standard_normal((f, c, kh, kw))
         if positive_kernel:
             kernel = np.abs(kernel)
@@ -124,6 +130,20 @@ class TestConvAlphaBeta:
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
             one = lrp_conv_alphabeta(a[i], kernel, bias, r_out[i], params, stride, pad)
             np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a_shape,k_shape,r_shape,culprit", [
+        ((2, 4, 4), (4, 2, 3, 3), (2, 4, 4, 4), "r"),      # two samples' relevance, one input
+        ((1, 2, 4, 4), (4, 2, 3, 3), (2, 4, 4, 4), "r"),
+        ((2, 4, 4), (4, 3, 3, 3), (4, 4, 4), "k"),         # kernel channels differ
+        ((4, 4), (4, 2, 3, 3), (4, 4, 4), "k"),            # no channel axis
+    ])
+    def test_shape_mismatch_names_the_shapes(self, a_shape, k_shape, r_shape, culprit):
+        rng = np.random.default_rng(6)
+        with pytest.raises(DimensionError) as err:
+            lrp_conv_alphabeta(rng.random(a_shape), rng.standard_normal(k_shape), None,
+                               np.ones(r_shape), LrpParams(), stride=1, pad=1)
+        assert str(a_shape) in str(err.value)
+        assert str(r_shape if culprit == "r" else k_shape) in str(err.value)
 
     def test_all_positive_exact_conservation(self):
         rng = np.random.default_rng(1)
@@ -247,12 +267,19 @@ class TestHeatmaps:
         np.testing.assert_allclose(pair.heat_proto, 0.0, atol=1e-12)
 
     def test_linearity_in_seed_relevance(self):
+        """Pixel relevance is linear in the relevance entering the
+        encoder, for the records of a nonnegative and of a signed input."""
         student = bias_free_student("II-B", seed=11)
-        x = np.random.default_rng(12).random((2, 4, 4))
-        p1 = heatmaps(student, x, 1, relevance_scale=1.0)
-        p3 = heatmaps(student, x, 1, relevance_scale=3.0)
-        np.testing.assert_allclose(p3.heat_input, 3.0 * p1.heat_input, atol=1e-12)
-        np.testing.assert_allclose(p3.heat_proto, 3.0 * p1.heat_proto, atol=1e-12)
+        rng = np.random.default_rng(12)
+        params = LrpParams()
+        for shift in (0.0, 0.5):
+            x = rng.random((2, 2, 4, 4)) - shift
+            feats, records = student.encoder.forward_recorded(x)
+            assert (records[0]["input"] < 0).any() == (shift > 0)
+            r = rng.standard_normal(feats.shape)
+            np.testing.assert_allclose(encoder_lrp(records, 3.0 * r, params),
+                                       3.0 * encoder_lrp(records, r, params),
+                                       rtol=0, atol=1e-12)
 
     def test_input_side_conservation_eps_zero(self):
         """Bias-free toy at eps=0: pixel relevance equals the prototype's
