@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +27,6 @@ from .losses import LossWeights
 from .replacement import (ParameterError, PruningError, ReplacementConfig,
                           ReplacementError, finetune, prune, train_student)
 from .tensor import DimensionError, EvaluationError
-
-
-def worker_count() -> int:
-    """Parallelism cap from PBSN_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("PBSN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = worker_count()
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_json(path, obj):
@@ -128,19 +110,13 @@ def cmd_explain(cfg: RunConfig) -> int:
     params = _lrp_params(cfg)
     heat_dir = out / "heatmaps"
     heat_dir.mkdir(exist_ok=True)
-    samples = list(range(min(cfg.explain_samples, len(test.images))))
-
-    def run(i):
-        pairs = X.explain(student, test.images[i], topk=cfg.topk, params=params)
-        written = []
+    n = max(0, min(cfg.explain_samples, len(test.images)))
+    total = 0
+    for i, pairs in enumerate(X.explain(student, test.images[:n], topk=cfg.topk, params=params)):
         for rank, pair in enumerate(pairs):
             base = heat_dir / f"sample{i:04d}_rank{rank}_proto{pair.prototype_index:03d}"
-            written.extend(X.export_pair(pair, base))
-        return written
-
-    files = _pmap(run, samples)
-    total = sum(len(group) for group in files)
-    print(f"explain: wrote {total} files for {len(samples)} samples under {heat_dir}")
+            total += len(X.export_pair(pair, base))
+    print(f"explain: wrote {total} files for {n} samples under {heat_dir}")
     return 0
 
 

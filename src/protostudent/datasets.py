@@ -9,13 +9,9 @@ of its inputs and seed; per-sample RNG streams are derived from
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .imagefiles import read_ppm, write_ppm
 
 PRIMARY_SHAPES = ("circle", "box", "stripes", "checker", "cross")
 ALT_SHAPES = ("triangle", "ring", "diamond", "diag_stripes", "dots")
@@ -202,26 +198,3 @@ def gen_altered_color(img: np.ndarray, seed: int = 0, s_min: float = SAT_FLOOR,
     hsv[0] = (hsv[0] + delta) % 1.0
     return np.clip(hsv_to_rgb(hsv), 0.0, 1.0)
 
-
-def save_dataset(ds: SyntheticDataset, directory):
-    """Export as a directory of PPM files plus labels.csv."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filename", "label"])
-        for i, (img, label) in enumerate(zip(ds.images, ds.labels)):
-            name = f"img_{i:05d}.ppm"
-            write_ppm(directory / name, img)
-            writer.writerow([name, int(label)])
-
-
-def load_dataset(directory) -> tuple:
-    """Read back a save_dataset export; returns (images, labels)."""
-    directory = Path(directory)
-    images, labels = [], []
-    with open(directory / "labels.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            images.append(read_ppm(directory / row["filename"]))
-            labels.append(int(row["label"]))
-    return np.asarray(images), np.asarray(labels, dtype=np.int64)

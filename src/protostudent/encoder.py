@@ -185,7 +185,8 @@ def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
             xb = Tensor(images[batch])
             logits = teacher.forward(xb)
             logp = T.log_softmax(logits, axis=1)
-            picked = T.gather(logp, (np.arange(len(batch)), labels[batch]))
+            picked = T.take_flat(logp, np.ravel_multi_index(
+                (np.arange(len(batch)), labels[batch]), logp.shape))
             loss = -T.tmean(picked)
             if not np.isfinite(loss.data):
                 raise TrainingError(f"teacher loss became non-finite at step {step}")
@@ -198,10 +199,3 @@ def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
         teacher.val_accuracy = teacher.accuracy(np.asarray(val_data[0], dtype=np.float64),
                                                 np.asarray(val_data[1]))
     return teacher
-
-
-def teacher_soft_labels(teacher: TeacherModel, images: np.ndarray) -> np.ndarray:
-    """Softmax of the teacher logits; rows sum to 1."""
-    logits = teacher.predict_logits(images)
-    with T.no_grad():
-        return T.softmax(Tensor(logits), axis=-1).data

@@ -1,13 +1,12 @@
-"""Binary PPM (P6, 8-bit color) and PGM (P5, 16-bit gray) readers and
-writers. PGM uses the full 16-bit range so small relevance magnitudes
-survive quantization."""
+"""Binary 16-bit gray PGM (P5) writer and reader. The full 16-bit range
+keeps small relevance magnitudes through quantization."""
 from __future__ import annotations
 
 import numpy as np
 
 
 class ImageFormatError(ValueError):
-    """File is not a well-formed PPM/PGM of the expected flavor."""
+    """File is not a well-formed 16-bit PGM."""
 
 
 def _read_header(data: bytes, magic: bytes) -> tuple:
@@ -29,31 +28,6 @@ def _read_header(data: bytes, magic: bytes) -> tuple:
             raise ImageFormatError("truncated header")
         fields.append(int(data[start:pos]))
     return fields[0], fields[1], fields[2], pos + 1
-
-
-def write_ppm(path, image: np.ndarray):
-    """Write a [3,H,W] float image in [0,1] as binary P6."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ImageFormatError(f"expected [3,H,W], got {img.shape}")
-    bytes_ = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = img.shape[1:]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(bytes_.transpose(1, 2, 0).tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    w, h, maxval, off = _read_header(data, b"P6")
-    if maxval != 255:
-        raise ImageFormatError(f"unsupported P6 maxval {maxval}")
-    need = w * h * 3
-    if len(data) - off < need:
-        raise ImageFormatError("truncated pixel payload")
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=off)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm16(path, image: np.ndarray) -> bytes:

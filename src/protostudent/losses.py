@@ -52,7 +52,8 @@ def cross_entropy(targets, logits) -> Tensor:
     tarr = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
     if np.issubdtype(tarr.dtype, np.integer):
         labels = np.atleast_1d(tarr).astype(np.int64)
-        picked = T.gather(logp, (np.arange(logits.shape[0]), labels))
+        picked = T.take_flat(logp, np.ravel_multi_index((np.arange(logits.shape[0]), labels),
+                                                        logp.shape))
         return -T.tmean(picked)
     tarr = np.atleast_2d(tarr.astype(np.float64))
     return -T.tmean(T.tsum(T.mul(Tensor(tarr), logp), axis=-1))

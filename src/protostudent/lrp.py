@@ -18,23 +18,32 @@ transposed clamped kernels. No per-connection [F, C*kh*kw, H*W] tensor is
 built. A layer whose input has no negative entry (images in [0, 1], ReLU
 outputs: every layer the encoder records) has c- = 0, so its pools are
 k+@c and k-@c and half the GEMMs drop out; this is the z+ case of deep
-Taylor decomposition for ReLU inputs. One explain call runs one ranking
-forward, one recorded encoder forward over the input and its k
-prototypes, and one relevance sweep over the 2k stacked sides.
+Taylor decomposition for ReLU inputs.
+
+One core serves N images with k prototypes each: one ranking forward
+over the batch, one recorded encoder forward over the N inputs plus the
+distinct selected prototypes (a prototype several images share is
+encoded once), and one relevance sweep over the 2·N·k stacked sides. The
+similarity layer's relevance and its split onto the two feature maps are
+one vectorized computation over all pairs; the spatial heads differ only
+in the record fields a small table names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .heads import StudentModel
 from .outlier import u_from_record
-from .tensor import DimensionError, _col2im_add, _im2col_plan
+from .tensor import DimensionError, Tensor, _col2im_add, _im2col_plan
 
 _ALPHA_DEFAULT = 1.7
 _BETA_DEFAULT = 0.7
 _EPS_DEFAULT = 1e-3
+# images per relevance core call in explain; bounds the stacked sides'
+# working set
+CHUNK = 8
 
 
 class PropagationError(RuntimeError):
@@ -156,175 +165,178 @@ def encoder_lrp(records: list, r_features: np.ndarray, params: LrpParams) -> np.
 
 
 def _avgpool_lrp(features: np.ndarray, r_pooled: np.ndarray, eps: float) -> np.ndarray:
-    """Redistribute pooled-vector relevance onto the map proportionally to
-    each position's forward contribution."""
-    c, h, w = features.shape
-    g = features.mean(axis=(1, 2))
+    """Redistribute pooled-vector relevance [P,C] onto the maps [P,C,H,W]
+    proportionally to each position's forward contribution."""
+    _, _, h, w = features.shape
+    g = features.mean(axis=(2, 3))
     factor = _safe_ratio(r_pooled, _stab(g, eps))
-    return features / (h * w) * factor[:, None, None]
+    return features / (h * w) * factor[:, :, None, None]
 
 
-def _forward_state(student: StudentModel, x: np.ndarray, ks: list, fwd=None):
-    """Forward x with everything relevance needs for prototypes ks recorded.
+# Every spatial head's z_k is a weighted sum over one similarity layer whose
+# entries are bilinear in the two feature maps: the matched cosine over
+# positions (Head II, z = mean) or the attended vector over channels (Head
+# III, z = v . attended). Per kind: that layer's record field, the axis of
+# the [C, HW] feature products it does not span, the feature pair, the
+# position weights multiplied in, and whether the prototype side is read at
+# each input position's best prototype position. III-C records argmax_p
+# too, but its attended contraction is aligned.
+_BILINEAR = {
+    "II-A": ("cos", 1, "fxh", "fph", (), False),
+    "II-B": ("cos", 1, "fxh", "fph", (), True),
+    "III-A": ("attended", 2, "fx_raw", "fp_raw", ("attn",), False),
+    "III-B": ("attended", 2, "fx_raw", "fp_raw", ("attn",), True),
+    "III-C": ("attended", 2, "fx_raw", "fp_raw", ("attn", "attn_p"), False),
+}
 
-    fwd is a (logits, record) pair from student.forward(x[None]) when the
-    caller already ran it. One recorded encoder forward covers x and the
-    prototype images; "records" holds its per-block batches in that order.
+
+def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndarray,
+                          kp: np.ndarray, feats_x: np.ndarray, feats_p: np.ndarray,
+                          eps: float) -> tuple:
+    """Relevance of the predicted-class logit at the similarity layer, and
+    its split onto the two feature maps, for every pair (input ix[j],
+    prototype kp[j]) of one batched head record.
+
+    y is the record's logits [B, classes]; feats_x and feats_p are each
+    pair's input and prototype encoder features [P,C,H,W] (Head I reads
+    them). Returns (r_sim, r_fx, r_fp): r_sim is [P,1] for Head I, [P,H,W]
+    for Head II and [P,C] for Head III; r_fx and r_fp are [P,C,H,W], each
+    carrying the full r_sim through its own factor of the bilinear form.
+    For the max heads the prototype side is scatter-added at the selected
+    positions.
     """
+    c_star = y.argmax(axis=1)[ix]
+    r_top = y[ix, c_star]
+    den = _stab(r_top, eps)
+    z = rec.z.data[ix, kp]
+    # epsilon rule through the classification layer, restricted to slot k
+    r_z = np.where(den != 0.0,
+                   z * student.head.w.data[c_star, kp] / np.where(den != 0.0, den, 1.0) * r_top,
+                   0.0)
+    if rec.kind == "I":
+        factor = _safe_ratio(r_z, _stab(rec.s_raw.data[ix, kp], eps))
+        r_g = rec.gxh.data[ix] * rec.gph.data[kp] * factor[:, None]
+        # same products on both sides; they diverge through the pooling
+        return (r_z[:, None], _avgpool_lrp(feats_x, r_g, eps),
+                _avgpool_lrp(feats_p, r_g, eps))
+
+    layer, axis, x_field, p_field, weights, matched = _BILINEAR[rec.kind]
+    n_pairs = len(ix)
+    h, w = rec.hw_shape
+    s = np.expand_dims(getattr(rec, layer).data[ix, kp], axis)   # [P,1,HW] or [P,C,1]
+    v = student.head.conv1d_w
+    v, d = (1.0, h * w) if v is None else (v.data[:, None], 1.0)
+    r_sim = s * v / d * _safe_ratio(r_z, _stab(z, eps))[:, None, None]
+    # epsilon rule through the bilinear entries; attention weights are
+    # constants
+    factor = _safe_ratio(r_sim, _stab(s, eps))
+    fp = getattr(rec, p_field).data[kp]
+    if matched:
+        sel = rec.argmax_p[ix, kp][:, None, :]                     # [P,1,HW]
+        fp = np.take_along_axis(fp, sel, axis=2)
+    a = 1.0
+    for name in weights:
+        a = a * getattr(rec, name).data[ix, kp][:, None, :]
+    r_fx = a * getattr(rec, x_field).data[ix] * fp * factor         # [P,C,HW]
+    r_fp = r_fx
+    if matched:
+        c = r_fx.shape[1]
+        flat = np.arange(n_pairs * c).reshape(n_pairs, c, 1) * (h * w) + sel
+        r_fp = np.bincount(flat.ravel(), weights=r_fx.ravel(),
+                           minlength=r_fx.size).reshape(r_fx.shape)
+    shape = rec.hw_shape if axis == 1 else (-1,)
+    return (r_sim.reshape(n_pairs, *shape), r_fx.reshape(n_pairs, -1, h, w),
+            r_fp.reshape(n_pairs, -1, h, w))
+
+
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as a stack of one-row products."""
+    return (a[:, None, :] @ b)[:, 0]
+
+
+def _ranking_forward(student: StudentModel, images: np.ndarray) -> tuple:
+    """(logits, record) of student.forward(images), with every product that
+    reduces one image's row (Head I's pooled cosines, the logits) taken as
+    a one-row product. BLAS sums a one-row product (gemv) in another order
+    than a row of a batched one (gemm); one-row products keep each image's
+    pairs bit-equal to a one-image explain whichever images share its
+    chunk. Everything else in the forward is the same per row either way."""
+    _, rec = student.forward(images)
+    if rec.kind == "I":
+        s_raw = _rows(rec.gxh.data, rec.gph.data.T)
+        rec = replace(rec, s_raw=Tensor(s_raw), z=Tensor(np.maximum(s_raw, 0.0)))
+    head = student.head
+    return _rows(rec.z.data, head.w.data.T) + head.b.data, rec
+
+
+def _pairs(student: StudentModel, images: np.ndarray, ks: list,
+           params: LrpParams | None, fwd: tuple) -> list:
+    """Heatmap pairs for (images[i], prototype k) for every k in ks[i];
+    returns one list of pairs per image.
+
+    fwd is _ranking_forward(student, images). One recorded encoder
+    forward covers the images and the distinct selected prototypes, and
+    one relevance sweep covers the 2P stacked sides of the P pairs: rows
+    0..P-1 are the input sides, rows P..2P-1 the prototype sides.
+    """
+    params = params or LrpParams()
     store = student.store
-    for k in ks:
+    kp = np.array([k for row in ks for k in row], dtype=np.int64)
+    for k in kp:
         if not 0 <= k < len(store):
             raise PropagationError(f"prototype index {k} out of range")
+    if not kp.size:
+        return [[] for _ in ks]
     if store.features is None:
         student.refresh_store_features()
+    n = len(images)
+    ix = np.repeat(np.arange(n), [len(row) for row in ks])
+    protos, slot = np.unique(kp, return_inverse=True)
     feats, records = student.encoder.forward_recorded(
-        np.concatenate([x[None], store.images[ks]]))
-    logits, rec = fwd or student.forward(x[None])
-    y = logits.data[0]
+        np.concatenate([images, store.images[protos]]))
+    y, rec = fwd
     if not np.isfinite(y).all():
         raise PropagationError("logits are non-finite; model state unusable")
-    return {"fx": feats[0], "fp": dict(zip(ks, feats[1:])), "records": records,
-            "y": y, "rec": rec, "c_star": int(y.argmax())}
-
-
-def relevance_at_similarity(student: StudentModel, x: np.ndarray, k: int,
-                            params: LrpParams | None = None,
-                            state: dict | None = None) -> np.ndarray:
-    """Relevance of prototype k's slice of the similarity layer for the
-    predicted-class logit.
-
-    Head I: scalar (as a length-1 array); Head II: the [H,W] map; Head
-    III: the length-C attended similarity vector.
-    """
-    params = params or LrpParams()
-    st = state or _forward_state(student, np.asarray(x, dtype=np.float64), [k])
-    rec, y, c_star = st["rec"], st["y"], st["c_star"]
-    eps = params.epsilon
-    kind = student.head.kind
-    z = rec.z.data[0]
-    r_top = y[c_star]
-    # epsilon rule through the classification layer, restricted to slot k
-    denom = _stab(y[c_star], eps)
-    r_zk = 0.0 if denom == 0 else z[k] * student.head.w.data[c_star, k] / denom * r_top
-    if kind == "I":
-        return np.array([r_zk])
-    if kind in ("II-A", "II-B"):
-        smap = rec.cos.data[0, k]
-        factor = 0.0 if _stab(z[k], eps) == 0 else r_zk / _stab(z[k], eps)
-        return (smap / smap.size * factor).reshape(rec.hw_shape)
-    # Head III: epsilon rule through the channel-sum conv
-    s_vec = rec.attended.data[0, k]
-    v = student.head.conv1d_w.data
-    factor = 0.0 if _stab(z[k], eps) == 0 else r_zk / _stab(z[k], eps)
-    return v * s_vec * factor
-
-
-def _similarity_split(student: StudentModel, k: int, r_sim: np.ndarray,
-                      st: dict, eps: float) -> tuple:
-    """Split similarity relevance onto the two feature maps.
-
-    Returns (r_fx [C,H,W], r_fp [C,H,W]), each carrying the full r_sim
-    through its own factor of the bilinear form. For the max heads the
-    prototype side is scatter-accumulated at the selected positions.
-    """
-    rec = st["rec"]
-    kind = student.head.kind
-    h, w = rec.hw_shape
-    c = st["fx"].shape[0]
-    hw = h * w
-
-    if kind == "I":
-        gxh = rec.gxh.data[0]
-        gph = rec.gph.data[k]
-        s = rec.s_raw.data[0, k]
-        factor = _safe_ratio(r_sim[0], _stab(s, eps))
-        r_gx = gxh * gph * factor
-        r_gp = r_gx.copy()  # same products; the sides diverge downstream
-        r_fx = _avgpool_lrp(st["fx"], r_gx, eps)
-        r_fp = _avgpool_lrp(st["fp"][k], r_gp, eps)
-        return r_fx, r_fp
-
-    fxh = rec.fxh.data[0].reshape(c, hw)
-    fph = rec.fph.data[k].reshape(c, hw)
-    if kind == "II-A":
-        smap = rec.cos.data[0, k].reshape(hw)
-        r_map = r_sim.reshape(hw)
-        factor = _safe_ratio(r_map, _stab(smap, eps))
-        r_fx = fxh * fph * factor[None, :]
-        return r_fx.reshape(c, h, w), r_fx.copy().reshape(c, h, w)
-    if kind == "II-B":
-        sel = rec.argmax_p[0, k]
-        smap = rec.cos.data[0, k].reshape(hw)
-        r_map = r_sim.reshape(hw)
-        factor = _safe_ratio(r_map, _stab(smap, eps))
-        prod = fxh * fph[:, sel] * factor[None, :]
-        r_fp = np.zeros((c, hw))
-        np.add.at(r_fp, (slice(None), sel), prod)
-        return prod.reshape(c, h, w), r_fp.reshape(c, h, w)
-
-    # Head III: relevance arrives as a length-C vector on the attended
-    # similarity; attention weights are constants.
-    fx_raw = rec.fx_raw.data[0].reshape(c, hw)
-    fp_raw = rec.fp_raw.data[k].reshape(c, hw)
-    s_vec = rec.attended.data[0, k]
-    factor = _safe_ratio(r_sim, _stab(s_vec, eps))  # [C]
-    if kind == "III-A":
-        a = rec.attn.data[0, k]
-        prod = a[None, :] * fx_raw * fp_raw * factor[:, None]
-        return prod.reshape(c, h, w), prod.copy().reshape(c, h, w)
-    if kind == "III-B":
-        a = rec.attn.data[0, k]
-        sel = rec.argmax_p[0, k]
-        prod = a[None, :] * fx_raw * fp_raw[:, sel] * factor[:, None]
-        r_fp = np.zeros((c, hw))
-        np.add.at(r_fp, (slice(None), sel), prod)
-        return prod.reshape(c, h, w), r_fp.reshape(c, h, w)
-    if kind == "III-C":
-        joint = rec.attn.data[0, k] * rec.attn_p.data[0, k]
-        prod = joint[None, :] * fx_raw * fp_raw * factor[:, None]
-        return prod.reshape(c, h, w), prod.copy().reshape(c, h, w)
-    raise PropagationError(f"unknown head kind {kind!r}")
-
-
-def _pairs(student: StudentModel, x: np.ndarray, ks: list, params: LrpParams | None,
-           fwd=None) -> list:
-    """Heatmap pairs for (x, prototype k) for every k in ks, from one
-    recorded forward and one relevance sweep over the stacked sides."""
-    if not ks:
-        return []
-    params = params or LrpParams()
-    x = np.asarray(x, dtype=np.float64)
-    st = _forward_state(student, x, ks, fwd)
-    r_sims = [relevance_at_similarity(student, x, k, params, state=st) for k in ks]
-    sides = [_similarity_split(student, k, r, st, params.epsilon) for k, r in zip(ks, r_sims)]
-    n = len(ks)
-    # rows 0..n-1 are the input sides (record row 0), rows n..2n-1 the
-    # prototype sides (record rows 1..n)
-    rows = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n + 1)])
-    records = [dict(r, input=r["input"][rows]) for r in st["records"]]
-    r_top = np.stack([side[0] for side in sides] + [side[1] for side in sides])
-    heat = encoder_lrp(records, r_top, params).sum(axis=1)
-    u = u_from_record(st["rec"])[0]
-    return [RelevancePair(prototype_index=k, r_sim=r_sims[j],
-                          heat_input=heat[j], heat_proto=heat[n + j],
-                          u_value=float(u[k]), predicted_class=st["c_star"])
-            for j, k in enumerate(ks)]
+    r_sim, r_fx, r_fp = _similarity_relevance(student, rec, y, ix, kp, feats[ix],
+                                              feats[n + slot], params.epsilon)
+    rows = np.concatenate([ix, n + slot])
+    heat = encoder_lrp([dict(r, input=r["input"][rows]) for r in records],
+                       np.concatenate([r_fx, r_fp]), params).sum(axis=1)
+    u = u_from_record(rec)
+    c_star = y.argmax(axis=1)
+    pairs = [RelevancePair(prototype_index=int(kp[j]), r_sim=r_sim[j], heat_input=heat[j],
+                           heat_proto=heat[len(kp) + j], u_value=float(u[ix[j], kp[j]]),
+                           predicted_class=int(c_star[ix[j]]))
+             for j in range(len(kp))]
+    ends = np.cumsum([len(row) for row in ks])
+    return [pairs[end - len(row):end] for row, end in zip(ks, ends)]
 
 
 def heatmaps(student: StudentModel, x: np.ndarray, k: int,
              params: LrpParams | None = None) -> RelevancePair:
     """Paired pixel heatmaps for (x, prototype k)."""
-    return _pairs(student, x, [k], params)[0]
+    x = np.asarray(x, dtype=np.float64)[None]
+    return _pairs(student, x, [[k]], params, _ranking_forward(student, x))[0][0]
 
 
 def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
             params: LrpParams | None = None) -> list:
-    """Heatmap pairs for the top-k prototypes ranked by similarity score;
-    the ranking forward is reused for every pair."""
-    fwd = student.forward(np.asarray(x, dtype=np.float64)[None])
-    u = u_from_record(fwd[1])[0]
-    order = np.argsort(-u, kind="stable")[:topk]
-    return _pairs(student, x, [int(k) for k in order], params, fwd=fwd)
+    """Heatmap pairs for the top-k prototypes ranked by similarity score.
+
+    x is one image [C,H,W], which returns its list of pairs, or a batch
+    [N,C,H,W], which returns one list per image. Images run in chunks of
+    CHUNK, each with one ranking forward reused for every pair and one
+    relevance core call, so peak memory does not grow with N.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    batch = x if x.ndim == 4 else x[None]
+    out = []
+    for start in range(0, len(batch), CHUNK):
+        chunk = batch[start:start + CHUNK]
+        fwd = _ranking_forward(student, chunk)
+        order = np.argsort(-u_from_record(fwd[1]), axis=1, kind="stable")[:, :topk]
+        out.extend(_pairs(student, chunk, order.tolist(), params, fwd))
+    return out if x.ndim == 4 else out[0]
 
 
 def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:

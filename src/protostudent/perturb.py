@@ -94,5 +94,5 @@ def top1_heatmaps(student: StudentModel, images: np.ndarray,
                   params: LrpParams | None = None) -> list:
     """Input-side heatmap against the highest-similarity prototype for
     each sample."""
-    return [explain(student, x, 1, params)[0].heat_input
-            for x in np.asarray(images, dtype=np.float64)]
+    return [pairs[0].heat_input
+            for pairs in explain(student, np.asarray(images, dtype=np.float64), 1, params)]

@@ -319,19 +319,6 @@ def split_rows(t, sizes) -> list:
     return parts
 
 
-def gather(t, index_arrays) -> Tensor:
-    """Fancy indexing with integer arrays; backward scatter-adds."""
-    t = _as_tensor(t)
-    out = t.data[index_arrays]
-    flat_idx = np.ravel_multi_index(index_arrays, t.shape).ravel()
-
-    def bw(g):
-        _accum(t, np.bincount(flat_idx, weights=g.ravel(),
-                              minlength=t.data.size).reshape(t.shape))
-
-    return _node(out, (t,), bw)
-
-
 def take_flat(t, flat_idx: np.ndarray) -> Tensor:
     """Gather by precomputed flat indices into t's raveled buffer; the
     output keeps flat_idx's shape. Backward scatter-adds."""

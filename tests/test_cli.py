@@ -183,13 +183,6 @@ class TestPipelineArtifacts:
         assert report["k_before"] == 12 and report["k_after"] == 9
         assert (root / "out" / "student_pruned.ckpt").exists()
 
-    def test_worker_env_is_respected(self, pipeline, monkeypatch):
-        from protostudent.cli import worker_count
-        monkeypatch.setenv("PBSN_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("PBSN_THREADS", "bogus")
-        assert worker_count() == 1
-
 
 class TestSweep:
     def test_sweep_writes_rows(self, pipeline):

@@ -1,14 +1,12 @@
 """Generators: determinism, value ranges, corruption characteristics,
-HSV conversion, and the PPM/PGM round trips."""
+HSV conversion, and the 16-bit PGM round trip."""
 import numpy as np
 import pytest
 
 from protostudent.datasets import (ALT_SHAPES, PRIMARY_SHAPES, DatasetError,
                                    gen_altered_color, gen_dataset, gen_strokes,
-                                   hsv_to_rgb, load_dataset, rgb_to_hsv,
-                                   save_dataset)
-from protostudent.imagefiles import (ImageFormatError, read_pgm16, read_ppm,
-                                     write_pgm16, write_ppm)
+                                   hsv_to_rgb, rgb_to_hsv)
+from protostudent.imagefiles import ImageFormatError, read_pgm16, write_pgm16
 
 
 class TestGenDataset:
@@ -113,13 +111,6 @@ class TestHsvRoundTrip:
 
 
 class TestImageFiles:
-    def test_ppm_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        img = rng.random((3, 5, 7))
-        write_ppm(tmp_path / "x.ppm", img)
-        back = read_ppm(tmp_path / "x.ppm")
-        assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
-
     def test_pgm16_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         img = rng.random((4, 6))
@@ -127,14 +118,7 @@ class TestImageFiles:
         back = read_pgm16(tmp_path / "x.pgm")
         assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
 
-    def test_dataset_export_import(self, tmp_path):
-        ds = gen_dataset(11, 3, 2)
-        save_dataset(ds, tmp_path / "ds")
-        images, labels = load_dataset(tmp_path / "ds")
-        np.testing.assert_array_equal(labels, ds.labels)
-        assert np.abs(images - ds.images).max() <= 0.5 / 255 + 1e-9
-
-    def test_corrupt_ppm_rejected(self, tmp_path):
-        (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\nshort")
+    def test_corrupt_pgm_rejected(self, tmp_path):
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n65535\nshort")
         with pytest.raises(ImageFormatError):
-            read_ppm(tmp_path / "bad.ppm")
+            read_pgm16(tmp_path / "bad.pgm")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from protostudent import tensor as T
-from protostudent.encoder import (Encoder, EncoderConfig, TrainingError,
-                                  teacher_soft_labels, train_teacher)
+from protostudent.encoder import Encoder, EncoderConfig, TrainingError, train_teacher
 from protostudent.tensor import DimensionError, Tensor
 
 
@@ -143,10 +142,6 @@ class TestTeacherTraining:
 
 
 class TestSoftLabels:
-    def _teacher(self):
-        imgs, labs = blob_data(n_per_class=10)
-        return train_teacher((imgs, labs), epochs=2, lr=0.05, seed=0, config=SMALL)
-
     def test_uniform_logits_uniform_probs(self):
         probs = T.softmax(Tensor(np.zeros((1, 4))), axis=-1).data
         np.testing.assert_allclose(probs, 0.25)
@@ -154,10 +149,3 @@ class TestSoftLabels:
     def test_extreme_logits_saturate(self):
         probs = T.softmax(Tensor(np.array([10.0, -10.0])), axis=-1).data
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-8)
-
-    def test_soft_labels_sum_to_one(self):
-        teacher = self._teacher()
-        rng = np.random.default_rng(10)
-        probs = teacher_soft_labels(teacher, rng.random((1000, 3, 8, 8)))
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        assert (probs > 0).all()

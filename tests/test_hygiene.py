@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses
+or reads an environment variable.
 
-No linter runs on this repository, so this `ast` walk is the guard.
+No linter runs on this repository, so these `ast` walks are the guard.
 """
 import ast
 from pathlib import Path
@@ -45,3 +46,35 @@ def test_checker_flags_unused_and_accepts_used():
               "def f(x: Tensor):\n"
               "    return np.asarray(os.path.join(x))\n")
     assert unused_imports(source) == [(4, "H"), (5, "no_grad")]
+
+
+def environment_reads(source: str) -> list:
+    """(line, expression) of every `os.environ`, `os.getenv` or bare
+    `getenv` in the source; the package takes its settings from the config
+    and the command line only."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            reads.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            reads.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads.extend((node.lineno, f"from os import {alias.name}") for alias in node.names
+                         if alias.name in ("environ", "getenv"))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_checker_flags_reads():
+    source = ("import os\n"
+              "from os import getenv\n"
+              "a = os.environ.get('X', '1')\n"
+              "b = os.getenv('Y')\n"
+              "c = getenv('Z')\n"
+              "d = os.path.join('environ', 'getenv')\n")
+    assert environment_reads(source) == [(2, "from os import getenv"), (3, "os.environ"),
+                                         (4, "os.getenv"), (5, "getenv")]

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from protostudent import lrp
 from protostudent import tensor as T
 from protostudent.encoder import Encoder, EncoderConfig
 from protostudent.heads import StudentModel
 from protostudent.lrp import (LrpParams, PropagationError, encoder_lrp, explain,
-                              export_pair, heatmaps, lrp_conv_alphabeta,
-                              relevance_at_similarity)
+                              export_pair, heatmaps, lrp_conv_alphabeta)
+from protostudent.perturb import top1_heatmaps
 from protostudent.tensor import DimensionError, Tensor, _im2col_plan
 
 from conftest import MICRO_CONFIG, micro_student
@@ -214,11 +215,13 @@ def bias_free_student(kind="II-A", seed=0, k=2):
 
 
 class TestRelevanceAtSimilarity:
+    """The pair's r_sim: the relevance at the similarity layer."""
+
     def test_single_prototype_carries_full_logit(self):
         student = bias_free_student("I", seed=1, k=1)
         student.head.w.data[...] = 1.0
         x = student.store.images[0]
-        r_sim = relevance_at_similarity(student, x, 0, LrpParams(1.7, 0.7, 0.0))
+        r_sim = heatmaps(student, x, 0, LrpParams(1.7, 0.7, 0.0)).r_sim
         y = student.predict_logits(x[None])[0]
         assert r_sim[0] == pytest.approx(y.max(), rel=1e-9)
 
@@ -230,7 +233,7 @@ class TestRelevanceAtSimilarity:
         student.store.images[1] = 0.0
         student.refresh_store_features()
         x = np.random.default_rng(3).random((2, 4, 4))
-        r_sim = relevance_at_similarity(student, x, 1)
+        r_sim = heatmaps(student, x, 1).r_sim
         np.testing.assert_allclose(r_sim, 0.0, atol=1e-12)
 
     def test_symmetric_prototypes_equal_relevance(self):
@@ -239,8 +242,8 @@ class TestRelevanceAtSimilarity:
         student.store.images[1] = student.store.images[0]
         student.refresh_store_features()
         x = np.random.default_rng(5).random((2, 4, 4))
-        r0 = relevance_at_similarity(student, x, 0)
-        r1 = relevance_at_similarity(student, x, 1)
+        r0 = heatmaps(student, x, 0).r_sim
+        r1 = heatmaps(student, x, 1).r_sim
         np.testing.assert_allclose(r0, r1, atol=1e-12)
 
     def test_widths_match_head_kind(self):
@@ -248,7 +251,7 @@ class TestRelevanceAtSimilarity:
         c, h, w = MICRO_CONFIG.feature_shape()
         for kind, shape in (("I", (1,)), ("II-A", (h, w)), ("III-A", (c,))):
             student = micro_student(kind, seed=7)
-            assert relevance_at_similarity(student, x, 0).shape == shape
+            assert heatmaps(student, x, 0).r_sim.shape == shape
 
 
 class TestHeatmaps:
@@ -314,14 +317,13 @@ class TestHeatmaps:
         input position selected as its best match."""
         student = bias_free_student("II-B", seed=17, k=2)
         x = np.random.default_rng(18).random((2, 4, 4))
-        st_logits, rec = student.forward(x[None])
+        y, rec = lrp._ranking_forward(student, x[None])
         sel = set(int(v) for v in rec.argmax_p[0, 0])
-        from protostudent.lrp import _forward_state, _similarity_split
-        st = _forward_state(student, x, [0])
-        r_sim = relevance_at_similarity(student, x, 0, state=st)
-        _, r_fp = _similarity_split(student, 0, r_sim, st, 1e-3)
-        c, h, w = r_fp.shape
-        flat = np.abs(r_fp).sum(axis=0).reshape(-1)
+        feats = student.encoder.encode(np.stack([x, student.store.images[0]]))
+        one = np.zeros(1, dtype=np.int64)
+        _, _, r_fp = lrp._similarity_relevance(student, rec, y, one, one, feats[:1],
+                                               feats[1:], 1e-3)
+        flat = np.abs(r_fp[0]).sum(axis=0).reshape(-1)
         support = set(int(i) for i in np.flatnonzero(flat > 1e-15))
         assert support.issubset(sel)
 
@@ -381,6 +383,100 @@ class TestExplain:
         pairs = explain(student, np.random.default_rng(27).random((2, 4, 4)), topk=3)
         assert len(pairs) == 3
         assert calls == {"forward": 1, "forward_recorded": 1}
+
+
+SMALL_CONFIG = EncoderConfig(in_channels=2, blocks=((4, 3, 2), (5, 3, 1)), input_size=(6, 6))
+
+
+def _counting(monkeypatch):
+    """Count StudentModel.forward calls and the images of every
+    Encoder.forward_recorded call."""
+    calls = {"forward": 0, "recorded_rows": []}
+    forward, recorded = StudentModel.forward, Encoder.forward_recorded
+
+    def counted_forward(self, images):
+        calls["forward"] += 1
+        return forward(self, images)
+
+    def counted_recorded(self, image):
+        calls["recorded_rows"].append(len(image))
+        return recorded(self, image)
+    monkeypatch.setattr(StudentModel, "forward", counted_forward)
+    monkeypatch.setattr(Encoder, "forward_recorded", counted_recorded)
+    return calls
+
+
+class TestBatchedCore:
+    def _images(self, student, seed, n=5):
+        """n images, one repeated and one equal to a prototype image, so
+        some prototypes rank in the top-3 of several images."""
+        images = np.random.default_rng(seed).random((n, *student.store.images.shape[1:]))
+        images[3] = images[1]
+        images[4] = student.store.images[2]
+        return images
+
+    @pytest.mark.parametrize("config", [MICRO_CONFIG, SMALL_CONFIG], ids=["micro", "small"])
+    def test_batch_matches_per_image(self, head_kind, config):
+        """Batched explain over 5 images gives every pair bit for bit as
+        one-image explain calls: heatmaps, r_sim, u, class and index."""
+        student = micro_student(head_kind, seed=40, k=6, classes=3, config=config)
+        images = self._images(student, 41)
+        batched = explain(student, images, topk=3)
+        assert len(batched) == len(images)
+        shared = [p.prototype_index for pairs in batched for p in pairs]
+        assert len(set(shared)) < len(shared)
+        for x, pairs in zip(images, batched):
+            alone = explain(student, x, topk=3)
+            assert len(pairs) == len(alone) == 3
+            for got, want in zip(pairs, alone):
+                for name in ("heat_input", "heat_proto", "r_sim"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                assert got.u_value == want.u_value
+                assert got.predicted_class == want.predicted_class
+                assert got.prototype_index == want.prototype_index
+
+    def test_chunks_cross_without_changing_pairs(self, monkeypatch):
+        student = micro_student("III-B", seed=42, k=6)
+        images = self._images(student, 43, n=7)
+        whole = explain(student, images, topk=2)
+        monkeypatch.setattr(lrp, "CHUNK", 3)
+        for got, want in zip(explain(student, images, topk=2), whole, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.heat_input.tobytes() == b.heat_input.tobytes()
+                assert a.heat_proto.tobytes() == b.heat_proto.tobytes()
+
+    def test_one_forward_per_chunk_and_distinct_prototypes_once(self, monkeypatch):
+        """Each chunk runs one ranking forward and one recorded forward,
+        whose batch is the chunk's images plus its distinct top-k
+        prototypes."""
+        student = micro_student("II-B", seed=44, k=6)
+        images = self._images(student, 45, n=7)
+        monkeypatch.setattr(lrp, "CHUNK", 4)
+        calls = _counting(monkeypatch)
+        result = explain(student, images, topk=3)
+        chunks = [result[:4], result[4:]]
+        distinct = [len({p.prototype_index for pairs in c for p in pairs}) for c in chunks]
+        assert calls["forward"] == 2
+        assert calls["recorded_rows"] == [4 + distinct[0], 3 + distinct[1]]
+        assert distinct[0] < 4 * 3
+
+    def test_top1_heatmaps_one_forward_per_chunk(self, monkeypatch):
+        student = micro_student("II-A", seed=46, k=4)
+        images = self._images(student, 47, n=5)
+        want = [explain(student, x, 1)[0].heat_input for x in images]
+        calls = _counting(monkeypatch)
+        heats = top1_heatmaps(student, images)
+        assert calls["forward"] == 1 and len(calls["recorded_rows"]) == 1
+        assert [h.tobytes() for h in heats] == [h.tobytes() for h in want]
+
+    @pytest.mark.parametrize("bad", [-1, 4, 99])
+    def test_out_of_range_index_in_batch_raises(self, bad):
+        student = micro_student("III-C", seed=48, k=4)
+        images = np.random.default_rng(49).random((2, 2, 4, 4))
+        with pytest.raises(PropagationError):
+            lrp._pairs(student, images, [[0, 1], [2, bad]], None,
+                       lrp._ranking_forward(student, images))
 
 
 class TestExportPair:
