@@ -83,6 +83,12 @@ class RunConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be nonnegative")
+        for name in ("topk", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
         for k in self.kprime:
             if not 1 <= int(k):
                 raise ConfigError("kprime", "entries must be >= 1")

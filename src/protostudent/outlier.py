@@ -65,13 +65,6 @@ def u_from_record(rec: SimilarityRecord) -> np.ndarray:
     raise MetricError(f"unknown head kind {kind!r}")
 
 
-def u_scores(student: StudentModel, x: np.ndarray) -> np.ndarray:
-    """Similarity scores of one sample against every prototype, [K]."""
-    arr = np.asarray(x, dtype=np.float64)
-    _, rec = student.forward(arr[None] if arr.ndim == 3 else arr)
-    return u_from_record(rec)[0]
-
-
 def outlier_score(u: np.ndarray, k_prime: int) -> float:
     """1 - mean of the k' largest similarity scores (class-agnostic)."""
     u = np.asarray(u, dtype=np.float64)

@@ -6,7 +6,9 @@ prototypes with the smallest importance weight and adds a masked-output
 cross-entropy to the objective; at the end of every epoch those p
 prototypes are swapped against class-matched random draws from D and
 their importance entries are reinitialized. Post-pruning finetuning is
-the same step loop with p = 0 over a fixed prototype set.
+the same step loop with p = 0 over a fixed prototype set. The teacher's
+soft labels are computed on first draw: a row is encoded by the teacher
+only when a step first trains on it.
 """
 from __future__ import annotations
 
@@ -128,7 +130,8 @@ def init_store(images: np.ndarray, labels: np.ndarray, protos_per_class: int,
             raise ReplacementError(f"class {cls} has too few samples for {protos_per_class} prototypes")
         chosen = rng.choice(members, size=protos_per_class, replace=False)
         proto_ids.extend(int(i) for i in chosen)
-        d_pools[int(cls)] = [int(i) for i in members if i not in set(chosen.tolist())]
+        chosen_set = set(chosen.tolist())
+        d_pools[int(cls)] = [int(i) for i in members if i not in chosen_set]
     proto_ids = np.asarray(sorted(proto_ids), dtype=np.int64)
     store = PrototypeStore(ids=proto_ids,
                            images=np.asarray(images, dtype=np.float64)[proto_ids].copy(),
@@ -158,7 +161,8 @@ def _replace_lowest(store: PrototypeStore, d_pools: dict, images, labels,
             old_id = int(store.ids[slot])
             swaps.append((slot, old_id, new_id))
         # D <- D \ D_rand  U  P_replace
-        kept = [sid for i, sid in enumerate(pool) if i not in set(pick_pos.tolist())]
+        picked = set(pick_pos.tolist())
+        kept = [sid for i, sid in enumerate(pool) if i not in picked]
         kept.extend(int(store.ids[s]) for s in class_slots)
         d_pools[cls] = kept
     for slot, _old, new_id in swaps:
@@ -180,6 +184,9 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
     (None: one pass). With p > 0 the p least important prototypes are
     masked in the auxiliary branch and swapped out at the epoch's end;
     with p = 0 the mask keeps every prototype and the store stays fixed.
+    The teacher's soft labels are computed on first draw, one no-grad
+    forward over the rows of a batch not seen before, so rows that no step
+    draws (prototypes, rows left out by `iterations`) are never encoded.
     """
     enc, head, store = student.encoder, student.head, student.store
     k = len(store)
@@ -187,8 +194,8 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
                {"params": head.params + [store.m_weights], "lr": config.lr_head}],
               momentum=config.momentum, weight_decay=config.weight_decay,
               step_epochs=config.lr_step_epochs, gamma=config.lr_gamma)
-    with T.no_grad():
-        teacher_logits = teacher.forward(Tensor(images)).data
+    teacher_logits = np.empty((len(images), teacher.class_count))
+    known = np.zeros(len(images), dtype=bool)
     log_records = []
     step = 0
     for epoch in range(epochs):
@@ -202,6 +209,11 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             batch = d_ids[order[lo:lo + config.batch_size]]
             if len(batch) == 0:
                 continue
+            new = batch[~known[batch]]
+            if len(new):
+                with T.no_grad():
+                    teacher_logits[new] = teacher.forward(Tensor(images[new])).data
+                known[new] = True
             xall = Tensor(np.concatenate([images[batch], store.images], axis=0))
             feats = enc.forward(xall)
             fx, fp = T.split_rows(feats, [len(batch), k])

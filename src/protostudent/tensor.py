@@ -74,9 +74,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -740,34 +737,3 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
             _accum(x, dx[0] if squeeze else dx)
 
     return _node(out[0] if squeeze else out, parents, bw)
-
-
-# -- gradient checking ------------------------------------------------------
-
-def grad_check(fn, params, h: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of a scalar program against central
-    differences; returns max over elements of
-    |analytic - numeric| / max(1, |numeric|)."""
-    for p in params:
-        p.zero_grad()
-    out = fn()
-    if not np.isfinite(out.data).all():
-        raise EvaluationError("grad_check: function value is non-finite")
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gf = ga.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            f_plus = float(fn().data)
-            flat[i] = keep - h
-            f_minus = float(fn().data)
-            flat[i] = keep
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(gf[i] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

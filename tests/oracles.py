@@ -12,7 +12,9 @@ values bit for bit. `finetune` is the post-pruning loop as it stood
 before training and finetuning shared one step loop (`replacement._fit`);
 the new loop must reproduce it bit for bit. `lrp_linear_eps` is the
 epsilon rule through one dense layer, the rule the relevance code writes
-out inline for the logit, similarity and pooling layers.
+out inline for the logit, similarity and pooling layers. `grad_check`
+is the central-difference reference every reverse-mode gradient is
+checked against.
 """
 from __future__ import annotations
 
@@ -251,3 +253,32 @@ def finetune(student: StudentModel, teacher: TeacherModel, train_data,
                             "tau": None, "replaced": []})
     student.refresh_store_features()
     return records
+
+
+def grad_check(fn, params, h: float = 1e-5) -> float:
+    """Compare reverse-mode gradients of a scalar program against central
+    differences; returns max over elements of
+    |analytic - numeric| / max(1, |numeric|)."""
+    for p in params:
+        p.zero_grad()
+    out = fn()
+    if not np.isfinite(out.data).all():
+        raise T.EvaluationError("grad_check: function value is non-finite")
+    out.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gf = ga.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            f_plus = float(fn().data)
+            flat[i] = keep - h
+            f_minus = float(fn().data)
+            flat[i] = keep
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            err = abs(gf[i] - numeric) / max(1.0, abs(numeric))
+            if err > worst:
+                worst = err
+    return worst

@@ -26,6 +26,7 @@ from protostudent.replacement import (ReplacementConfig, binary_mask, finetune,
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
+from oracles import grad_check
 
 pytestmark = pytest.mark.acceptance
 
@@ -115,7 +116,7 @@ class TestCriterion1GradientSuite:
                                           LossWeights())
                     return total
 
-                errs.append(T.grad_check(fn, params, h=1e-6))
+                errs.append(grad_check(fn, params, h=1e-6))
             worst[kind] = max(errs)
             assert worst[kind] < 1e-4, f"{kind}: max rel error {worst[kind]:.2e}"
         elapsed = time.time() - t0

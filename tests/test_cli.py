@@ -73,6 +73,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig.load(None, {"p_fraction": 1.5})
 
+    @pytest.mark.parametrize("field,bad,edge", [
+        ("topk", -1, 1), ("topk", 0, 1), ("batch_size", 0, 1), ("explain_samples", -1, 0),
+        ("epochs", -1, 0), ("teacher_epochs", -1, 0), ("finetune_epochs", -1, 0)])
+    def test_count_out_of_range_names_field(self, field, bad, edge):
+        """Each count is refused below its floor and accepted at it; an
+        accepted topk = -1 would slice the ranking to K - 1 pairs."""
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{field: bad}).validate()
+        assert exc.value.field == field
+        RunConfig(**{field: edge}).validate()
+
+    @pytest.mark.parametrize("argv", [["--topk", "0"], ["--samples", "-2"], ["--epochs", "-1"]])
+    def test_cli_count_out_of_range_exit_2_one_line(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path)
+        assert main(["explain", "--config", str(path)] + argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert argv[0].lstrip("-").replace("samples", "explain_samples") in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_teacher_exit_2_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["train-student", "--config", str(path)]) == 2

@@ -14,7 +14,7 @@ from protostudent.replacement import PrototypeStore
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
-from oracles import (sim_I, sim_IIA, sim_IIB, attention,
+from oracles import (grad_check, sim_I, sim_IIA, sim_IIB, attention,
                      sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
 
 
@@ -310,7 +310,7 @@ class TestHeadGradients:
             logits, _ = head_forward(fx, student.store, student.head)
             return T.tsum(T.square(T.softmax(logits, axis=1)))
 
-        assert T.grad_check(fn, params, h=1e-6) < 1e-4
+        assert grad_check(fn, params, h=1e-6) < 1e-4
 
     def test_iiib_step_runs_without_path_search(self, monkeypatch):
         """A III-B forward and backward never ask numpy for a contraction

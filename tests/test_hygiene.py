@@ -1,14 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or reads an environment variable.
+"""Source hygiene: no module of the package imports a name it never uses,
+reads an environment variable or defines a name that only tests call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "protostudent"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "protostudent"
 
 
 def unused_imports(source: str) -> list:
@@ -78,3 +80,84 @@ def test_environment_checker_flags_reads():
               "d = os.path.join('environ', 'getenv')\n")
     assert environment_reads(source) == [(2, "from os import getenv"), (3, "os.environ"),
                                          (4, "os.getenv"), (5, "getenv")]
+
+
+def name_occurrences(source: str) -> list:
+    """(line, name) of every identifier the source reads, imports or names
+    as a string constant (as when a tracer patches a function by name)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            found.extend((node.lineno, part) for part in node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.append((node.lineno, node.value))
+    return found
+
+
+def definitions(source: str) -> list:
+    """(qualified name, name, first line, last line) of every top-level
+    function and class, and of every method that is not a dunder."""
+    defs = []
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(source).body:
+        if not isinstance(node, kinds):
+            continue
+        defs.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            defs.extend((f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno)
+                        for item in node.body
+                        if isinstance(item, kinds[:2]) and not
+                        (item.name.startswith("__") and item.name.endswith("__")))
+    return defs
+
+
+def uncalled_definitions(library: dict, users: dict, entry_names=()) -> list:
+    """(file, qualified name) of each definition in `library` (file name ->
+    source) whose name occurs nowhere in `library` or `users` outside its
+    own definition, and is not one of `entry_names`."""
+    places = {}
+    for path, source in {**users, **library}.items():
+        for line, name in name_occurrences(source):
+            places.setdefault(name, []).append((path, line))
+    missing = []
+    for path, source in library.items():
+        for qualname, name, first, last in definitions(source):
+            if name not in entry_names and all(
+                    where == path and first <= line <= last
+                    for where, line in places.get(name, [])):
+                missing.append((path, qualname))
+    return sorted(missing)
+
+
+def test_every_library_definition_has_a_caller():
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = {f"perfbench/{p.name}": p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entry_names = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    assert uncalled_definitions(library, users, entry_names) == []
+
+
+def test_caller_checker_flags_uncalled_definitions():
+    lib = ("def used(x):\n"
+           "    return x\n"
+           "def recursive(n):\n"
+           "    return recursive(n - 1)\n"
+           "def patched():\n"
+           "    pass\n"
+           "def main():\n"
+           "    return used(1)\n"
+           "class Box:\n"
+           "    def __len__(self):\n"
+           "        return 0\n"
+           "    def size(self):\n"
+           "        return self.size_of()\n"
+           "    def size_of(self):\n"
+           "        return Box()\n")
+    users = {"bench.py": "import lib\nwrap(lib, 'patched')\n"}
+    assert uncalled_definitions({"lib.py": lib}, users, {"main"}) == [
+        ("lib.py", "Box"), ("lib.py", "Box.size"), ("lib.py", "recursive")]

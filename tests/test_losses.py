@@ -13,6 +13,7 @@ from protostudent.replacement import binary_mask, masked_logits, threshold
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
+from oracles import grad_check
 
 
 class TestCrossEntropy:
@@ -239,4 +240,4 @@ class TestObjectiveGradients:
                                   logits.data.argmax(axis=1), y_mask, j, LossWeights())
             return total
 
-        assert T.grad_check(fn, params, h=1e-6) < 1e-4
+        assert grad_check(fn, params, h=1e-6) < 1e-4

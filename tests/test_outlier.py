@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protostudent.outlier import (MetricError, auc, maxprob_score,
-                                  outlier_score, score_samples, u_scores)
+                                  outlier_score, score_samples, u_from_record)
 from protostudent.replacement import ParameterError
 
 from conftest import micro_student
@@ -20,16 +20,21 @@ def auc_pairs_oracle(scores, labels):
     return float(wins / (len(pos) * len(neg)))
 
 
+def u_one(student, x):
+    """Similarity scores of one image [C,H,W] against every prototype, [K]."""
+    return u_from_record(student.forward(x[None])[1])[0]
+
+
 class TestUScores:
     def test_self_prototype_scores_one_head1(self):
         student = micro_student("I", seed=0, k=3)
-        u = u_scores(student, student.store.images[1])
+        u = u_one(student, student.store.images[1])
         assert u[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_input_zero_scores(self):
         for kind in ("I", "II-A", "III-A", "III-C"):
             student = micro_student(kind, seed=1)
-            u = u_scores(student, np.zeros((2, 4, 4)))
+            u = u_one(student, np.zeros((2, 4, 4)))
             np.testing.assert_allclose(u, 0.0, atol=1e-12)
 
     def test_head2a_matches_hand_map(self):
@@ -37,7 +42,7 @@ class TestUScores:
         rng = np.random.default_rng(3)
         x = rng.random((2, 4, 4))
         fx = student.encoder.encode(x)
-        u = u_scores(student, x)
+        u = u_one(student, x)
         c = fx.shape[0]
         for k in range(2):
             fp = student.encoder.encode(student.store.images[k])

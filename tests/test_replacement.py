@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from protostudent import losses as L
+from protostudent import replacement as R
 from protostudent import tensor as T
-from protostudent.encoder import EncoderConfig, train_teacher
+from protostudent.encoder import Encoder, EncoderConfig, TeacherModel, train_teacher
 from protostudent.heads import head_forward
 from protostudent.losses import LossWeights
 from protostudent.replacement import (ParameterError, PruningError,
@@ -111,6 +112,141 @@ def tiny_teacher():
     imgs, labs = shapes_data()
     return train_teacher((imgs, labs), epochs=6, lr=0.05, seed=0,
                          batch_size=16, config=SMALL), imgs, labs
+
+
+@pytest.fixture(scope="module")
+def full_soft_labels(tiny_teacher):
+    """The teacher's logits for the whole train set in one forward."""
+    teacher, imgs, _ = tiny_teacher
+    return teacher.predict_logits(imgs)
+
+
+@pytest.fixture
+def teacher_spy(monkeypatch):
+    """Records every `TeacherModel.forward` as (epoch, input rows, logits);
+    the epoch counts `_replace_lowest` calls made so far."""
+    calls = []
+    epoch = [0]
+    forward, replace = TeacherModel.forward, R._replace_lowest
+
+    def spy_forward(self, x):
+        out = forward(self, x)
+        calls.append((epoch[0], x.data.copy(), out.data.copy()))
+        return out
+
+    def spy_replace(*args, **kwargs):
+        epoch[0] += 1
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(TeacherModel, "forward", spy_forward)
+    monkeypatch.setattr(R, "_replace_lowest", spy_replace)
+    return calls
+
+
+def row_ids(imgs, rows):
+    """Train-set index of each image row (the shapes images are distinct)."""
+    index = {img.tobytes(): i for i, img in enumerate(imgs)}
+    return [index[row.tobytes()] for row in rows]
+
+
+class TestSoftLabelsOnFirstDraw:
+    def test_one_step_encodes_one_batch(self, tiny_teacher, teacher_spy):
+        teacher, imgs, labs = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=0.34, epochs=1, iterations=1, seed=1, batch_size=16)
+        train_student(teacher, (imgs, labs), "I", cfg, LossWeights(), protos_per_class=2)
+        assert [len(rows) for _, rows, _ in teacher_spy] == [16]
+
+    def test_rows_encoded_once_and_never_as_prototypes(self, tiny_teacher, teacher_spy):
+        """Over four epochs with swaps the teacher encodes exactly the rows
+        that were in D in some epoch, each once, and none while it was a
+        prototype."""
+        teacher, imgs, labs = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=0.34, epochs=4, seed=3, batch_size=16)
+        _, _, log = train_student(teacher, (imgs, labs), "I", cfg, LossWeights(),
+                                  protos_per_class=2)
+        protos = [set(int(i) for i in init_store(imgs, labs, 2, 3)[0].ids)]
+        for record in log:
+            if record.get("replaced"):
+                swapped = set(protos[-1])
+                for swap in record["replaced"]:
+                    swapped.remove(swap["out_id"])
+                    swapped.add(swap["in_id"])
+                protos.append(swapped)
+        encoded = []
+        for epoch, rows, _ in teacher_spy:
+            ids = row_ids(imgs, rows)
+            assert not set(ids) & protos[epoch]
+            encoded.extend(ids)
+        assert len(encoded) == len(set(encoded))
+        assert set(encoded) == set(range(len(imgs))) - set.intersection(*protos[:4])
+        assert [len(rows) for e, rows, _ in teacher_spy if e == 0] == [16, 16, 16, 16, 2]
+
+    def test_soft_labels_match_full_set_forward(self, tiny_teacher, full_soft_labels,
+                                                teacher_spy, monkeypatch):
+        """Each row the teacher returned, and each soft-label row a step's
+        loss reads, equals that row of one whole-set teacher forward."""
+        teacher, imgs, labs = tiny_teacher
+        k = 6  # 3 classes x 2 prototypes
+        step_ids, soft_rows = [], []
+        enc_forward, total_loss = Encoder.forward, L.total_loss
+
+        def spy_encoder(self, x):
+            if self is not teacher.encoder and len(x.data) > k:  # not the store refresh
+                step_ids.append(row_ids(imgs, x.data[:-k]))
+            return enc_forward(self, x)
+
+        def spy_loss(labels, y, y_teacher, *args):
+            soft_rows.append(np.array(y_teacher, copy=True))
+            return total_loss(labels, y, y_teacher, *args)
+
+        monkeypatch.setattr(Encoder, "forward", spy_encoder)
+        monkeypatch.setattr(L, "total_loss", spy_loss)
+        cfg = ReplacementConfig(p_fraction=0.34, epochs=3, seed=2, batch_size=16)
+        train_student(teacher, (imgs, labs), "III-B", cfg, LossWeights(), protos_per_class=2)
+        for _, rows, logits in teacher_spy:
+            np.testing.assert_allclose(logits, full_soft_labels[row_ids(imgs, rows)],
+                                       rtol=0, atol=1e-12)
+        assert len(step_ids) == len(soft_rows) == 3 * 5
+        for ids, soft in zip(step_ids, soft_rows):
+            np.testing.assert_allclose(soft, full_soft_labels[ids], rtol=0, atol=1e-12)
+
+    def test_finetune_encodes_each_d_row_once(self, tiny_teacher, full_soft_labels,
+                                              teacher_spy):
+        teacher, imgs, labs = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=0.25, epochs=1, seed=4, batch_size=16)
+        student, _, _ = train_student(teacher, (imgs, labs), "II-B", cfg, LossWeights(),
+                                      protos_per_class=4)
+        pruned = prune(student, 0.25)
+        teacher_spy.clear()
+        finetune(pruned, teacher, (imgs, labs), 3, cfg, LossWeights())
+        encoded = [i for _, rows, _ in teacher_spy for i in row_ids(imgs, rows)]
+        assert sorted(encoded) == sorted(set(range(len(imgs))) - set(pruned.store.ids.tolist()))
+        for _, rows, logits in teacher_spy:
+            np.testing.assert_allclose(logits, full_soft_labels[row_ids(imgs, rows)],
+                                       rtol=0, atol=1e-12)
+
+
+class TestSwapBookkeeping:
+    def test_pools_are_members_minus_prototypes(self):
+        imgs, labs = shapes_data()
+        store, pools = init_store(imgs, labs, 2, 11)
+        assert store.ids.tolist() == [3, 21, 34, 35, 56, 66]
+        for cls, pool in pools.items():
+            members = np.flatnonzero(labs == cls).tolist()
+            assert pool == [i for i in members if i not in store.ids.tolist()]
+
+    def test_swap_log_fixed_seed(self, tiny_teacher):
+        """Slots, drawn ids and the pool order that later draws index into
+        are fixed by the seed; three epochs of swaps pin all three."""
+        teacher, imgs, labs = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=0.34, epochs=3, seed=11, batch_size=16)
+        _, store, log = train_student(teacher, (imgs, labs), "I", cfg, LossWeights(),
+                                      protos_per_class=2)
+        swaps = [[(s["slot"], s["out_id"], s["in_id"]) for s in r["replaced"]]
+                 for r in log if r["replaced"]]
+        assert swaps == [[(0, 3, 18), (1, 21, 19)], [(2, 34, 37), (3, 35, 43)],
+                         [(4, 56, 50), (5, 66, 59)]]
+        assert store.ids.tolist() == [18, 19, 37, 43, 50, 59]
 
 
 class TestTrainStudent:

@@ -9,7 +9,8 @@ from protostudent.heads import HEAD_KINDS
 from protostudent.tensor import DimensionError, EvaluationError, Tensor
 
 from conftest import micro_student
-from oracles import l2_normalize_channels, matched_attended_gather, matched_cosine_allpairs
+from oracles import (grad_check, l2_normalize_channels, matched_attended_gather,
+                     matched_cosine_allpairs)
 
 # every contraction heads.head_forward passes to T.einsum; pinned to the
 # code by test_head_einsum_specs_listed
@@ -147,7 +148,7 @@ class TestConv2dTiles:
         def fn():
             return T.tsum(T.square(T.conv2d(x, k, b, stride=stride, pad=1)))
 
-        assert T.grad_check(fn, [x, k, b], h=1e-5) < 1e-4
+        assert grad_check(fn, [x, k, b], h=1e-5) < 1e-4
 
     def test_default_budget_splits_large_batch(self):
         rng = np.random.default_rng(21)
@@ -287,7 +288,7 @@ class TestMatchedCosine:
             total = T.tsum(T.mul(cos, w_cos))
             return total if cos_p is None else T.add(total, T.tsum(T.mul(cos_p, w_p)))
 
-        assert T.grad_check(fn, [x, p], h=1e-6) < 1e-6
+        assert grad_check(fn, [x, p], h=1e-6) < 1e-6
 
     def test_first_index_wins_ties(self):
         p = Tensor(np.ones((1, 2, 3)) / np.sqrt(2.0))
@@ -354,14 +355,14 @@ class TestMatchedAttended:
         def fn():
             return T.tsum(T.square(T.matched_attended(attn, fx, fp, arg)))
 
-        assert T.grad_check(fn, [attn, fx, fp], h=1e-5) < 1e-4
+        assert grad_check(fn, [attn, fx, fp], h=1e-5) < 1e-4
 
 
 class TestGradients:
     """Every primitive against central differences on randomized shapes."""
 
     def _check(self, fn, params, tol=1e-4):
-        assert T.grad_check(fn, params, h=1e-5) < tol
+        assert grad_check(fn, params, h=1e-5) < tol
 
     @pytest.mark.parametrize("seed", range(100))
     def test_primitive_mix_random_shapes(self, seed):
@@ -470,12 +471,12 @@ class TestGradCheckOracle:
     def test_sum_of_squares(self):
         rng = np.random.default_rng(0)
         p = Tensor(rng.standard_normal(6), requires_grad=True)
-        err = T.grad_check(lambda: T.tsum(T.square(p)), [p], h=1e-5)
+        err = grad_check(lambda: T.tsum(T.square(p)), [p], h=1e-5)
         assert err < 1e-6
 
     def test_constant_function_zero_error(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        err = T.grad_check(lambda: Tensor(3.0), [p], h=1e-5)
+        err = grad_check(lambda: Tensor(3.0), [p], h=1e-5)
         assert err == 0.0
 
     def test_composite_pooled_cosine_pipeline(self):
@@ -493,9 +494,9 @@ class TestGradCheckOracle:
             pn = T.l2_normalize(T.reshape(proto, (1, 3)), axis=1)
             return T.tsum(T.mul(gn, pn))
 
-        assert T.grad_check(fn, [x, k, proto], h=1e-5) < 1e-4
+        assert grad_check(fn, [x, k, proto], h=1e-5) < 1e-4
 
     def test_non_finite_value_raises(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         with pytest.raises(EvaluationError):
-            T.grad_check(lambda: T.log(p), [p], h=1e-5)
+            grad_check(lambda: T.log(p), [p], h=1e-5)
