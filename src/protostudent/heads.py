@@ -16,8 +16,11 @@ Every spatial head gets its matched cosine map from one autodiff op,
 aligned positions (-A), at each input position's best prototype position
 (-B), or at both row and column maxima (III-C). II-A and II-B read the
 same GEMM output, so the dominance relation between the two kinds holds
-exactly, not just within float tolerance. III-B contracts its attention
-at the matched positions with `tensor.matched_attended`.
+exactly, not just within float tolerance. The three Head III kinds get
+z from one op, `tensor.attended_score`, and differ only in its position
+weights (the input attention, times the prototype attention for III-C)
+and in whether the prototype side is read at the matched positions
+(III-B) or the aligned ones.
 """
 from __future__ import annotations
 
@@ -86,11 +89,14 @@ class SimilarityRecord:
     Batched over inputs (B) and prototypes (K); spatial grids are stored
     flattened (HW). The cosine fields and argmax arrays are the outputs of
     `tensor.matched_cosine`. Argmax arrays hold flat positions, first
-    index on ties, and are constants with respect to the graph.
+    index on ties, and are constants with respect to the graph. Head III's
+    attended vector over channels is not recorded: `tensor.attended_score`
+    gives z without it, and the relevance code rebuilds it per pair from
+    attn, attn_p, argmax_p, fx_raw and fp_raw.
     """
     kind: str
     hw_shape: tuple
-    z: Tensor                          # [B, K]
+    z: Tensor                          # [B, K] similarity scores the logits are linear in
     s_raw: Tensor | None = None        # [B, K] Head I cosine before ReLU
     gxh: Tensor | None = None          # [B, C] normalized pooled input features
     gph: Tensor | None = None          # [K, C]
@@ -102,7 +108,6 @@ class SimilarityRecord:
     argmax_x: np.ndarray | None = None  # [B, K, HW] best input position per prototype position (III-C)
     attn: Tensor | None = None         # [B, K, HW] attention over input positions (III)
     attn_p: Tensor | None = None       # [B, K, HW] attention over prototype positions (III-C)
-    attended: Tensor | None = None     # [B, K, C] attended similarity vector (III)
     norms_x: Tensor | None = None      # [B, HW] squared norms of normalized input columns
     norms_p: Tensor | None = None      # [K, HW]
     fxh: Tensor | None = None          # [B, C, HW] normalized input features
@@ -171,15 +176,12 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
         return T.linear(rec.z, model.w, model.b), rec
 
     rec.attn = T.softmax(rec.cos, axis=2)
-    if kind == "III-A":
-        rec.attended = T.einsum("bki,bci,kci->bkc", rec.attn, fx_flat, fp_flat)
-    elif kind == "III-B":
-        rec.attended = T.matched_attended(rec.attn, fx_flat, fp_flat, rec.argmax_p)
-    else:
+    weights = rec.attn
+    if kind == "III-C":
         rec.attn_p = T.softmax(rec.cos_p, axis=2)
-        joint = T.mul(rec.attn, rec.attn_p)
-        rec.attended = T.einsum("bki,bci,kci->bkc", joint, fx_flat, fp_flat)
-    rec.z = T.einsum("bkc,c->bk", rec.attended, model.conv1d_w)
+        weights = T.mul(rec.attn, rec.attn_p)
+    rec.z = T.attended_score(weights, fx_flat, fp_flat, model.conv1d_w,
+                             rec.argmax_p if kind == "III-B" else None)
     return T.linear(rec.z, model.w, model.b), rec
 
 

@@ -176,18 +176,41 @@ def _avgpool_lrp(features: np.ndarray, r_pooled: np.ndarray, eps: float) -> np.n
 # Every spatial head's z_k is a weighted sum over one similarity layer whose
 # entries are bilinear in the two feature maps: the matched cosine over
 # positions (Head II, z = mean) or the attended vector over channels (Head
-# III, z = v . attended). Per kind: that layer's record field, the axis of
-# the [C, HW] feature products it does not span, the feature pair, the
+# III, z = v . attended). Per kind: the record field holding that layer
+# (Head III records none: its attended vector is rebuilt per pair as the
+# position sum of the weighted feature products), the feature pair, the
 # position weights multiplied in, and whether the prototype side is read at
 # each input position's best prototype position. III-C records argmax_p
 # too, but its attended contraction is aligned.
 _BILINEAR = {
-    "II-A": ("cos", 1, "fxh", "fph", (), False),
-    "II-B": ("cos", 1, "fxh", "fph", (), True),
-    "III-A": ("attended", 2, "fx_raw", "fp_raw", ("attn",), False),
-    "III-B": ("attended", 2, "fx_raw", "fp_raw", ("attn",), True),
-    "III-C": ("attended", 2, "fx_raw", "fp_raw", ("attn", "attn_p"), False),
+    "II-A": ("cos", "fxh", "fph", (), False),
+    "II-B": ("cos", "fxh", "fph", (), True),
+    "III-A": (None, "fx_raw", "fp_raw", ("attn",), False),
+    "III-B": (None, "fx_raw", "fp_raw", ("attn",), True),
+    "III-C": (None, "fx_raw", "fp_raw", ("attn", "attn_p"), False),
 }
+
+
+def _bilinear_entries(rec, ix: np.ndarray, kp: np.ndarray) -> tuple:
+    """The similarity layer of a spatial head for every pair (input ix[j],
+    prototype kp[j]) of a batched record: (s, prod, sel). prod [P,C,HW] are
+    the weighted feature products; s is their sum over the axis the layer
+    does not span, the matched cosine [P,1,HW] (Head II, read from the
+    record) or the attended vector [P,C,1] (Head III, rebuilt); sel [P,1,HW]
+    are the matched prototype positions, or None when aligned."""
+    layer, x_field, p_field, weights, matched = _BILINEAR[rec.kind]
+    fp = getattr(rec, p_field).data[kp]
+    sel = None
+    if matched:
+        sel = rec.argmax_p[ix, kp][:, None, :]
+        fp = np.take_along_axis(fp, sel, axis=2)
+    a = 1.0
+    for name in weights:
+        a = a * getattr(rec, name).data[ix, kp][:, None, :]
+    prod = a * getattr(rec, x_field).data[ix] * fp
+    if layer:
+        return getattr(rec, layer).data[ix, kp][:, None, :], prod, sel
+    return prod.sum(axis=2, keepdims=True), prod, sel
 
 
 def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndarray,
@@ -220,31 +243,22 @@ def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndar
         return (r_z[:, None], _avgpool_lrp(feats_x, r_g, eps),
                 _avgpool_lrp(feats_p, r_g, eps))
 
-    layer, axis, x_field, p_field, weights, matched = _BILINEAR[rec.kind]
     n_pairs = len(ix)
     h, w = rec.hw_shape
-    s = np.expand_dims(getattr(rec, layer).data[ix, kp], axis)   # [P,1,HW] or [P,C,1]
+    s, prod, sel = _bilinear_entries(rec, ix, kp)
     v = student.head.conv1d_w
     v, d = (1.0, h * w) if v is None else (v.data[:, None], 1.0)
     r_sim = s * v / d * _safe_ratio(r_z, _stab(z, eps))[:, None, None]
     # epsilon rule through the bilinear entries; attention weights are
     # constants
-    factor = _safe_ratio(r_sim, _stab(s, eps))
-    fp = getattr(rec, p_field).data[kp]
-    if matched:
-        sel = rec.argmax_p[ix, kp][:, None, :]                     # [P,1,HW]
-        fp = np.take_along_axis(fp, sel, axis=2)
-    a = 1.0
-    for name in weights:
-        a = a * getattr(rec, name).data[ix, kp][:, None, :]
-    r_fx = a * getattr(rec, x_field).data[ix] * fp * factor         # [P,C,HW]
+    r_fx = prod * _safe_ratio(r_sim, _stab(s, eps))
     r_fp = r_fx
-    if matched:
+    if sel is not None:
         c = r_fx.shape[1]
         flat = np.arange(n_pairs * c).reshape(n_pairs, c, 1) * (h * w) + sel
         r_fp = np.bincount(flat.ravel(), weights=r_fx.ravel(),
                            minlength=r_fx.size).reshape(r_fx.shape)
-    shape = rec.hw_shape if axis == 1 else (-1,)
+    shape = rec.hw_shape if _BILINEAR[rec.kind][0] else (-1,)
     return (r_sim.reshape(n_pairs, *shape), r_fx.reshape(n_pairs, -1, h, w),
             r_fp.reshape(n_pairs, -1, h, w))
 

@@ -2,20 +2,22 @@
 
 Every primitive used by the encoder, the similarity heads, and the losses
 lives here: elementwise arithmetic, reductions, matmul/einsum, conv2d,
-softmax variants, channel normalization, and a finite-difference gradient
-checker. Data is stored row-major at 64-bit precision; gradients accumulate
-into same-shape buffers in a deterministic topological sweep.
+softmax variants, and channel normalization. Data is stored row-major at
+64-bit precision; gradients accumulate into same-shape buffers in a
+deterministic topological sweep.
 
-Two fused ops serve the spatial heads. `matched_cosine` reads the matched
-position cosines out of one all-pairs GEMM and sends their gradients
-back through that GEMM without an all-pairs-shaped gradient;
-`matched_attended` is the III-B contraction at matched prototype
-positions, whose prototype gradient is one batched GEMM instead of a
-scatter.
+Two fused ops serve the spatial heads, both read out of one GEMM of every
+input position against every prototype position at the same flat
+offsets. `matched_cosine` reads the matched position cosines and sends
+their gradients back through that GEMM without an all-pairs-shaped
+gradient; `attended_score` gives the Head III score z straight from the
+products of the channel-weighted input features with the prototype
+features, without forming the attended vector over channels.
 
-Contractions run as plain np.einsum calls without a contraction-path
-search: at the head shapes a single C pass beats the FLOP-minimal order,
-whose intermediates and reshape copies cost more than the FLOPs they save.
+`einsum` runs each contraction, forward and backward, as one plain
+np.einsum call without a contraction-path search: at three-operand head
+shapes a single C pass beats the FLOP-minimal order, whose intermediates
+and reshape copies cost more than the FLOPs they save.
 """
 from __future__ import annotations
 
@@ -435,9 +437,34 @@ def einsum(spec: str, *tensors) -> Tensor:
     return _node(out, tuple(ts), bw)
 
 
-# -- matched position cosines -------------------------------------------------
+# -- all-pairs position products -----------------------------------------------
 
 MATCHES = ("aligned", "row", "row+col")
+
+
+def _allpairs(x: np.ndarray, p: np.ndarray) -> tuple:
+    """Every position pair's channel product as one GEMM: x [B,C,HW] as
+    rows [B*HW, C] times p [K,C,HWp] as columns [C, K*HWp], so entry
+    [b*HW + i, k*HWp + j] pairs x[b,:,i] with p[k,:,j]. Returns the product
+    and its backward, which maps a gradient of it to those of x and p."""
+    bsz, c, hw = x.shape
+    k, _, hwp = p.shape
+    rows = x.transpose(0, 2, 1).reshape(bsz * hw, c)
+    cols = p.transpose(1, 0, 2).reshape(c, k * hwp)
+
+    def bw(gm):
+        return ((gm @ cols.T).reshape(bsz, hw, c).transpose(0, 2, 1),
+                (rows.T @ gm).reshape(c, k, hwp).transpose(1, 0, 2))
+
+    return rows @ cols, bw
+
+
+def _pair_offsets(bsz: int, hw: int, k: int, hwp: int, i, j) -> np.ndarray:
+    """Flat offsets into the all-pairs product [B*HW, K*HWp] of the entries
+    pairing input position i of image b with prototype position j of
+    prototype k; i and j broadcast against [B, K, 1]."""
+    block = (np.arange(bsz)[:, None, None] * hw * k + np.arange(k)[None, :, None]) * hwp
+    return block + i * (k * hwp) + j
 
 
 def matched_cosine(fxh, fph, match: str) -> tuple:
@@ -471,17 +498,14 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
         raise ValueError(f"unknown match {match!r}")
     if match == "aligned" and hw != hwp:
         raise DimensionError("aligned similarity needs equal spatial grids")
-    a2 = fxh.data.transpose(0, 2, 1).reshape(bsz * hw, c)
-    b2 = fph.data.transpose(1, 0, 2).reshape(c, k * hwp)
-    m = a2 @ b2
+    m, m_bw = _allpairs(fxh.data, fph.data)
 
     def pairs_bw(g):
-        _accum(fxh, (g @ b2.T).reshape(bsz, hw, c).transpose(0, 2, 1))
-        _accum(fph, (a2.T @ g).reshape(c, k, hwp).transpose(1, 0, 2))
+        dx, dp = m_bw(g)
+        _accum(fxh, dx)
+        _accum(fph, dp)
 
     pairs = _node(m, (fxh, fph), pairs_bw)
-    # flat offset of block (b, k) into m, as [B, K, 1]
-    block = (np.arange(bsz)[:, None, None] * hw * k + np.arange(k)[None, :, None]) * hwp
 
     def select(flat):
         def bw(g):
@@ -492,11 +516,11 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
 
         return _node(m.reshape(-1)[flat], (pairs,), bw)
 
-    rows = np.arange(hw) * (k * hwp)                 # offset of input position i
+    pos = np.arange(hw)
     if match == "aligned":
-        return select(block + rows + np.arange(hw)), None, None, None
+        return select(_pair_offsets(bsz, hw, k, hwp, pos, pos)), None, None, None
     arg_p = m.reshape(bsz, hw, k, hwp).argmax(axis=3).transpose(0, 2, 1)   # [B, K, HW]
-    cos = select(block + rows + arg_p)
+    cos = select(_pair_offsets(bsz, hw, k, hwp, pos, arg_p))
     if match == "row":
         return cos, arg_p, None, None
     # first input position holding each column max, without argmax, which
@@ -508,44 +532,50 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
     code = np.arange(hw, 0, -1, dtype=np.min_scalar_type(hw))[:, None]
     first = ((mc == top[:, None]) * code).max(axis=1).astype(np.intp)
     arg_x = np.minimum(hw - first, hw - 1).reshape(bsz, k, hwp)   # a NaN column keeps hw - 1
-    cos_p = select(block + arg_x * (k * hwp) + np.arange(hwp))
+    cos_p = select(_pair_offsets(bsz, hw, k, hwp, arg_x, np.arange(hwp)))
     return cos, arg_p, cos_p, arg_x
 
 
-def matched_attended(attn, fx, fp, arg_p) -> Tensor:
-    """Attended products at matched positions (Head III-B):
-    out[b,k,c] = sum_i attn[b,k,i] * fx[b,c,i] * fp[k,c,arg_p[b,k,i]].
+def attended_score(w, fx, fp, v, arg_p=None) -> Tensor:
+    """Head III score z [B,K] from position weights w [B,K,HW], features
+    fx [B,C,HW] and fp [K,C,HWp], and a channel kernel v [C]:
 
-    attn [B,K,HW], fx [B,C,HW], fp [K,C,HWp], arg_p [B,K,HW] -> [B,K,C].
-    The forward gathers whole channel rows of fp at the matched positions,
-    fp_sel [B,K,HW,C], and contracts them in one einsum pass. The fp
-    gradient is contracted straight into [K,C,HWp] instead of being formed
-    at fp_sel's shape and scattered back: with the one-hot attention
-    W[b,i,(k,j)] = attn[b,k,i] where j = arg_p[b,k,i], U[b] = fx[b] @ W[b]
-    is one batched GEMM and d fp[k,c,j] = sum_b g[b,k,c] * U[b,c,k,j].
+      z[b,k] = sum_i w[b,k,i] * S[b,k,i],
+      S[b,k,i] = sum_c v[c] * fx[b,c,i] * fp[k,c,j],
+
+    with j = i (aligned, HW == HWp) or j = arg_p[b,k,i] (matched). The
+    attended vector over channels is never formed: S is read out of one
+    all-pairs GEMM of (fx * v) against fp, at the offsets matched_cosine
+    reads. The backward puts g * w into a zero all-pairs buffer at those
+    (distinct) offsets, and two GEMMs give the gradients of fx * v and fp.
+    With HW > 1 a one-image call is a GEMM too, whose rows BLAS sums alike
+    at any batch size, so a row of a batched call is bit-equal to a
+    one-row call.
     """
-    attn, fx, fp = _as_tensor(attn), _as_tensor(fx), _as_tensor(fp)
-    bsz, k, hw = attn.shape
-    _, c, hwp = fp.shape
-    sel = np.arange(k)[:, None] * hwp + arg_p          # row (k, j) of fp as [K*HWp, C]
-    fp_sel = np.take(fp.data.transpose(0, 2, 1).reshape(k * hwp, c), sel, axis=0)
-    out = np.einsum("bki,bci,bkic->bkc", attn.data, fx.data, fp_sel)
+    w, fx, fp, v = _as_tensor(w), _as_tensor(fx), _as_tensor(fp), _as_tensor(v)
+    bsz, c, hw = fx.shape
+    k, cp, hwp = fp.shape
+    if cp != c or v.shape != (c,) or w.shape != (bsz, k, hw):
+        raise DimensionError(f"attended score shapes disagree: w {w.shape}, fx {fx.shape}, "
+                             f"fp {fp.shape}, v {v.shape}")
+    if arg_p is None and hw != hwp:
+        raise DimensionError("aligned similarity needs equal spatial grids")
+    m, m_bw = _allpairs(fx.data * v.data[:, None], fp.data)
+    pos = np.arange(hw)
+    flat = _pair_offsets(bsz, hw, k, hwp, pos, pos if arg_p is None else arg_p)
+    s = m.reshape(-1)[flat]
+    out = (w.data * s).sum(axis=2)
 
     def bw(g):
-        if attn.requires_grad:
-            _accum(attn, np.einsum("bkc,bci,bkic->bki", g, fx.data, fp_sel))
-        if fx.requires_grad:
-            _accum(fx, np.einsum("bkc,bki,bkic->bci", g, attn.data, fp_sel))
-        if fp.requires_grad:
-            w = np.zeros((bsz, hw, k * hwp))
-            w.reshape(-1)[(np.arange(bsz)[:, None, None] * hw + np.arange(hw)) * (k * hwp)
-                          + sel] = attn.data
-            u = np.matmul(fx.data, w).reshape(bsz, c, k, hwp)
-            # sum over b as one [1,B] @ [B,HWp] product per (c, k)
-            d = np.matmul(g.transpose(2, 1, 0)[:, :, None, :], u.transpose(1, 2, 0, 3))
-            _accum(fp, d[:, :, 0, :].transpose(1, 0, 2))
+        _accum(w, g[:, :, None] * s)
+        gm = np.zeros((bsz * hw, k * hwp))
+        gm.reshape(-1)[flat] = g[:, :, None] * w.data
+        dxv, dfp = m_bw(gm)
+        _accum(fp, dfp)
+        _accum(fx, dxv * v.data[:, None])
+        _accum(v, np.einsum("bci,bci->c", dxv, fx.data))
 
-    return _node(out, (attn, fx, fp), bw)
+    return _node(out, (w, fx, fp, v), bw)
 
 
 # -- softmax family ----------------------------------------------------------

@@ -4,11 +4,11 @@ The single-pair similarity operations are value-level views of the
 batched head machinery in `protostudent.heads`: one (input, prototype)
 pair of [C,H,W] feature maps in, plain arrays out. The all-pairs
 operations are the batched head path as it stood before the matched
-cosines and the III-B contraction became fused autodiff ops
-(`tensor.matched_cosine`, `tensor.matched_attended`): a dense
+cosines and the Head III score became fused autodiff ops
+(`tensor.matched_cosine`, `tensor.attended_score`): a dense
 [B,K,HW,HWp] cosine node, a diagonal gather or `tmax` on it, and a
-gathered [B,K,C,HW] prototype tensor; the fused ops must reproduce their
-values bit for bit. `finetune` is the post-pruning loop as it stood
+gathered [B,K,C,HW] prototype tensor for the III-B attended vector. The
+matched cosines must reproduce them bit for bit, the score to 1e-12. `finetune` is the post-pruning loop as it stood
 before training and finetuning shared one step loop (`replacement._fit`);
 the new loop must reproduce it bit for bit. `lrp_linear_eps` is the
 epsilon rule through one dense layer, the rule the relevance code writes
@@ -92,8 +92,8 @@ def matched_cosine_allpairs(fxh: Tensor, fph: Tensor, match: str) -> tuple:
 
 def matched_attended_gather(attn: Tensor, fx_flat: Tensor, fp_flat: Tensor,
                             arg: np.ndarray) -> Tensor:
-    """`tensor.matched_attended` as a `take_flat` gather of [B,K,C,HW]
-    prototype columns and a three-operand einsum."""
+    """The III-B attended vector [B,K,C] as a `take_flat` gather of
+    [B,K,C,HW] prototype columns and a three-operand einsum."""
     bsz, kk, hw = attn.shape
     c = fx_flat.shape[1]
     # flat index into fp[k,c,j]: (k*C + c)*HW + arg[b,k,i]

@@ -9,6 +9,7 @@ from protostudent import heads as H
 from protostudent import tensor as T
 from protostudent.encoder import EncoderConfig
 from protostudent.heads import ConfigurationError, HeadModel, head_forward
+from protostudent.lrp import _bilinear_entries
 from protostudent.optim import SGD
 from protostudent.replacement import PrototypeStore
 from protostudent.tensor import Tensor
@@ -260,14 +261,18 @@ class TestHeadForward:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("kind", ["III-A", "III-B", "III-C"])
     def test_attended_matches_pair_oracles(self, kind, batch):
-        """The batched contraction gives, for every (input, prototype)
-        pair, the attended vector of the per-pair oracle."""
+        """For every (input, prototype) pair of a batched forward, z is the
+        channel kernel times the per-pair oracle's attended vector, and
+        the attended vector the relevance code rebuilds is that vector."""
         config = EncoderConfig(in_channels=2, blocks=((5, 2, 1),), input_size=(5, 5))
         student = micro_student(kind, seed=16, k=5, config=config)
         x = np.random.default_rng(17).random((batch, 2, 5, 5))
         _, rec = student.forward(x)
         fxs = student.encoder.encode(x)
         fps = student.store.features.data
+        v = student.head.conv1d_w.data
+        ix, kp = np.repeat(np.arange(batch), 5), np.tile(np.arange(5), batch)
+        rebuilt = _bilinear_entries(rec, ix, kp)[0][:, :, 0].reshape(batch, 5, -1)
         for b, fx in enumerate(fxs):
             for k, fp in enumerate(fps):
                 smap, arg = sim_IIB(fx, fp)
@@ -277,7 +282,8 @@ class TestHeadForward:
                     want = sim_IIIB(fx, fp, attention(smap), arg)
                 else:
                     want = sim_IIIC(fx, fp, attention(smap), attn_IIIC(fx, fp))
-                np.testing.assert_allclose(rec.attended.data[b, k], want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(rec.z.data[b, k], v @ want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(rebuilt[b, k], want, rtol=0, atol=1e-12)
 
     def test_conv_weight_clipping_after_step(self):
         student = micro_student("III-A", seed=11)

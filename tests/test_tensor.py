@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protostudent import tensor as T
-from protostudent.heads import HEAD_KINDS
+from protostudent.heads import HEAD_KINDS, head_forward
 from protostudent.tensor import DimensionError, EvaluationError, Tensor
 
 from conftest import micro_student
 from oracles import (grad_check, l2_normalize_channels, matched_attended_gather,
                      matched_cosine_allpairs)
 
-# every contraction heads.head_forward passes to T.einsum; pinned to the
-# code by test_head_einsum_specs_listed
+# the contractions the Head III score was composed of before
+# T.attended_score, which TestAttendedScore composes as its oracle
 HEAD_EINSUM_SPECS = ("bki,bci,kci->bkc", "bkc,c->bk")
 
 
@@ -318,26 +318,34 @@ class TestMatchedCosine:
             T.matched_cosine(x, p, "col")
 
 
-class TestMatchedAttended:
-    """The III-B contraction against the gather-and-einsum path it
-    replaced, and against central differences."""
+def _score_oracle(w, fx, fp, v, arg):
+    """The Head III score as the einsum composition it replaced: the
+    aligned contraction, or the matched gather of tests/oracles.py, then
+    the channel kernel."""
+    if arg is None:
+        attended = T.einsum(HEAD_EINSUM_SPECS[0], w, fx, fp)
+    else:
+        attended = matched_attended_gather(w, fx, fp, arg)
+    return T.einsum(HEAD_EINSUM_SPECS[1], attended, v)
+
+
+class TestAttendedScore:
+    """The Head III score op against the einsum compositions it replaced,
+    against central differences, and row by row against one-row calls."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), k=st.integers(1, 3),
-           c=st.integers(1, 4), hw=st.integers(1, 6), constant=st.booleans())
-    def test_matches_gather_oracle(self, seed, b, k, c, hw, constant):
+           c=st.integers(1, 4), hw=st.integers(1, 6), matched=st.booleans())
+    def test_matches_oracle_compositions(self, seed, b, k, c, hw, matched):
         rng = np.random.default_rng(seed)
-        fxh = _unit_columns(rng, (b, c, hw), 0.3, False)
-        fph = _unit_columns(rng, (k, c, hw), 0.3, constant)
-        with T.no_grad():
-            cos, arg, _, _ = T.matched_cosine(Tensor(fxh), Tensor(fph), "row")
-        ad = T.softmax(cos, axis=2).data
-        xd, pd = rng.random((b, c, hw)), rng.random((k, c, hw))
-        got_in = [Tensor(v, requires_grad=True) for v in (ad, xd, pd)]
-        want_in = [Tensor(v, requires_grad=True) for v in (ad, xd, pd)]
-        got = T.matched_attended(*got_in, arg)
-        want = matched_attended_gather(*want_in, arg)
-        np.testing.assert_array_equal(got.data, want.data)
+        arrays = (rng.random((b, k, hw)), rng.random((b, c, hw)), rng.random((k, c, hw)),
+                  rng.random(c))
+        arg = rng.integers(0, hw, size=(b, k, hw)) if matched else None
+        got_in = [Tensor(a, requires_grad=True) for a in arrays]
+        want_in = [Tensor(a, requires_grad=True) for a in arrays]
+        got = T.attended_score(*got_in, arg)
+        want = _score_oracle(*want_in, arg)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
         g = rng.standard_normal(got.shape)
         got.backward(g)
         want.backward(g)
@@ -347,15 +355,48 @@ class TestMatchedAttended:
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_against_central_differences(self, seed):
         rng = np.random.default_rng([seed, 10])
-        attn = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
         fx = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
         fp = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        arg = rng.integers(0, 5, size=(2, 3, 5))
+        v = Tensor(rng.standard_normal(4), requires_grad=True)
+        for arg in (None, rng.integers(0, 5, size=(2, 3, 5))):
+            def fn():
+                return T.tsum(T.square(T.attended_score(w, fx, fp, v, arg)))
 
-        def fn():
-            return T.tsum(T.square(T.matched_attended(attn, fx, fp, arg)))
+            assert grad_check(fn, [w, fx, fp, v], h=1e-5) < 1e-4
 
-        assert grad_check(fn, [attn, fx, fp], h=1e-5) < 1e-4
+    def test_graph_is_one_node(self):
+        """z hangs straight off its four operands: no [B,K,C] attended
+        node or all-pairs node enters the graph."""
+        rng = np.random.default_rng(34)
+        ops = [Tensor(rng.random(shape), requires_grad=True)
+               for shape in ((2, 3, 4), (2, 5, 4), (3, 5, 4), (5,))]
+        z = T.attended_score(*ops, rng.integers(0, 4, size=(2, 3, 4)))
+        assert z.shape == (2, 3) and z._parents == tuple(ops)
+
+    @pytest.mark.parametrize("matched", [False, True], ids=["aligned", "matched"])
+    def test_rows_equal_one_row_calls(self, matched):
+        """Each row of a batched call is bit-equal to the call on that row
+        alone, as batched explain pairs need."""
+        rng = np.random.default_rng([35, matched])
+        w, fx = rng.random((5, 6, 16)), rng.random((5, 8, 16))
+        fp, v = rng.random((6, 8, 16)), rng.random(8)
+        arg = rng.integers(0, 16, size=(5, 6, 16)) if matched else None
+        with T.no_grad():
+            z = T.attended_score(w, fx, fp, v, arg).data
+            for b in range(5):
+                one = T.attended_score(w[b:b + 1], fx[b:b + 1], fp, v,
+                                       None if arg is None else arg[b:b + 1]).data
+                np.testing.assert_array_equal(z[b:b + 1], one)
+
+    def test_shape_errors(self):
+        w, fx, fp, v = np.zeros((1, 2, 4)), np.zeros((1, 3, 4)), np.zeros((2, 3, 5)), np.zeros(3)
+        with pytest.raises(DimensionError):
+            T.attended_score(w, fx, fp, v)
+        with pytest.raises(DimensionError):
+            T.attended_score(w, fx, fp[:, :2], v, np.zeros((1, 2, 4), dtype=int))
+        with pytest.raises(DimensionError):
+            T.attended_score(w, fx, fp, np.zeros(2), np.zeros((1, 2, 4), dtype=int))
 
 
 class TestGradients:
@@ -429,8 +470,9 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("spec", HEAD_EINSUM_SPECS)
     def test_head_einsum_gradients(self, spec, seed):
-        """Every operand's gradient of each head contraction against
-        central differences, at distinct extents per index letter."""
+        """Every operand's gradient of each contraction the Head III
+        oracle composes against central differences, at distinct extents
+        per index letter."""
         rng = np.random.default_rng([seed, 10])
         extent = {"b": 2, "k": 3, "c": 4, "i": 5}
         ops = [Tensor(rng.standard_normal([extent[ch] for ch in part]), requires_grad=True)
@@ -441,20 +483,20 @@ class TestGradients:
 
         self._check(fn, ops)
 
-    def test_head_einsum_specs_listed(self, monkeypatch):
-        """HEAD_EINSUM_SPECS holds exactly the specs head_forward uses."""
-        seen = set()
-        plain = T.einsum
+    def test_head_forward_makes_no_einsum_call(self, monkeypatch):
+        """Every head's forward and backward run without T.einsum: Head III
+        takes its score from T.attended_score."""
+        def refuse(spec, *tensors):
+            raise AssertionError(f"T.einsum({spec!r}) on the head path")
 
-        def recording(spec, *tensors):
-            seen.add(spec)
-            return plain(spec, *tensors)
-
-        monkeypatch.setattr(T, "einsum", recording)
+        monkeypatch.setattr(T, "einsum", refuse)
         rng = np.random.default_rng(14)
         for kind in HEAD_KINDS:
-            micro_student(kind, seed=15).forward(rng.random((2, 2, 4, 4)))
-        assert seen == set(HEAD_EINSUM_SPECS)
+            student = micro_student(kind, seed=15)
+            student.store.features = student.encoder.forward(Tensor(student.store.images))
+            x = student.encoder.forward(Tensor(rng.random((2, 2, 4, 4))))
+            logits, _ = head_forward(x, student.store, student.head)
+            T.tsum(T.square(logits)).backward()
 
     def test_log_softmax_gradient(self):
         rng = np.random.default_rng(11)
