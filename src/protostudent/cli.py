@@ -22,7 +22,7 @@ from . import perturb as P
 from .config import ConfigError, RunConfig
 from .datasets import DatasetError
 from .encoder import EncoderConfig, TrainingError, train_teacher
-from .heads import ConfigurationError
+from .heads import HEAD_KINDS, ConfigurationError
 from .losses import LossWeights
 from .replacement import (ParameterError, PruningError, ReplacementConfig,
                           ReplacementError, finetune, prune, train_student)
@@ -256,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=str, default=None, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--head", type=str, default=None,
-                         choices=["I", "II-A", "II-B", "III-A", "III-B", "III-C"])
+                         choices=HEAD_KINDS)
         cmd.add_argument("--protos-per-class", dest="protos_per_class", type=int, default=None)
         cmd.add_argument("--kprime", type=str, default=None, help="comma list, e.g. 1,20")
         cmd.add_argument("--out", dest="out_dir", type=str, default=None)

@@ -92,15 +92,6 @@ class Encoder:
             h = T.relu(T.conv2d(h, kern, bias, stride=stride, pad=k // 2))
         return h
 
-    def encode(self, image: np.ndarray) -> np.ndarray:
-        """Feature map of one image or a batch, without building a graph."""
-        arr = np.asarray(image, dtype=np.float64)
-        expected = (self.config.in_channels, *self.config.input_size)
-        if arr.shape[-3:] != expected:
-            raise DimensionError(f"encode: expected trailing shape {expected}, got {arr.shape}")
-        with T.no_grad():
-            return self.forward(Tensor(arr)).data
-
     def forward_recorded(self, image: np.ndarray) -> tuple:
         """Forward one image [C0,H0,W0] or a batch [N,C0,H0,W0] collecting
         per-block inputs for relevance propagation. Returns (features, records):

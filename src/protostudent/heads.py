@@ -12,15 +12,17 @@ Six kinds are supported:
   III-C  separate attention maps for input and prototype, multiplied
 
 Every spatial head gets its matched cosine map from one autodiff op,
-`tensor.matched_cosine`: one GEMM of all position pairs, read out at the
-aligned positions (-A), at each input position's best prototype position
-(-B), or at both row and column maxima (III-C). II-A and II-B read the
-same GEMM output, so the dominance relation between the two kinds holds
-exactly, not just within float tolerance. The three Head III kinds get
-z from one op, `tensor.attended_score`, and differ only in its position
-weights (the input attention, times the prototype attention for III-C)
-and in whether the prototype side is read at the matched positions
-(III-B) or the aligned ones.
+`tensor.matched_cosine`: the cosines at the aligned positions (-A) come
+from one product per position, those at each input position's best
+prototype position (-B) or at both row and column maxima (III-C) from
+one GEMM of all position pairs. II-A's cosine at a position therefore
+sums in another order than II-B's entry for the same pair, so II-B
+dominates II-A to within a few ulp; the single-pair oracles in the tests
+read both from one matrix and hold it exactly. The three Head III kinds
+get z from one op, `tensor.attended_score`, and differ only in its
+position weights (the input attention, times the prototype attention
+for III-C) and in whether the prototype side is read at the matched
+positions (III-B) or the aligned ones.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .tensor import Tensor
 
 HEAD_KINDS = ("I", "II-A", "II-B", "III-A", "III-B", "III-C")
 
-# which position pairs each spatial head reads out of the all-pairs cosines
+# which prototype position each spatial head pairs an input position with
 _MATCH = {"II-A": "aligned", "II-B": "row", "III-A": "aligned", "III-B": "row",
           "III-C": "row+col"}
 

@@ -6,13 +6,12 @@ softmax variants, and channel normalization. Data is stored row-major at
 64-bit precision; gradients accumulate into same-shape buffers in a
 deterministic topological sweep.
 
-Two fused ops serve the spatial heads, both read out of one GEMM of every
-input position against every prototype position at the same flat
-offsets. `matched_cosine` reads the matched position cosines and sends
-their gradients back through that GEMM without an all-pairs-shaped
-gradient; `attended_score` gives the Head III score z straight from the
-products of the channel-weighted input features with the prototype
-features, without forming the attended vector over channels.
+Two fused ops serve the spatial heads: `matched_cosine` gives the
+matched position cosines, `attended_score` the Head III score z without
+forming the attended vector over channels. Aligned position pairs take
+one one-row product per (position, image); best-matched pairs are read
+out of one GEMM of every input position against every prototype
+position, at the same flat offsets in both ops.
 
 `einsum` runs each contraction, forward and backward, as one plain
 np.einsum call without a contraction-path search: at three-operand head
@@ -437,9 +436,34 @@ def einsum(spec: str, *tensors) -> Tensor:
     return _node(out, tuple(ts), bw)
 
 
-# -- all-pairs position products -----------------------------------------------
+# -- position products ---------------------------------------------------------
 
 MATCHES = ("aligned", "row", "row+col")
+
+
+def _aligned(x: np.ndarray, p: np.ndarray) -> tuple:
+    """Each input position's channel product with the same position of
+    every prototype, [B,K,HW], as stacked one-row products [HW,B,1,C] @
+    [HW,1,C,K]: a row's summation order does not depend on B. Returns it
+    and its backward, the per-position products [HW,B,K]@[HW,K,C] and
+    [HW,K,B]@[HW,B,C] giving the gradients of x [B,C,HW] and p [K,C,HW]."""
+    bsz, _, hw = x.shape
+    k, _, hwp = p.shape
+    if hw != hwp:
+        raise DimensionError("aligned similarity needs equal spatial grids")
+    xs = np.ascontiguousarray(x.transpose(2, 0, 1))   # [HW, B, C]
+    ps = np.ascontiguousarray(p.transpose(2, 1, 0))   # [HW, C, K]
+    s = np.empty((bsz, k, hw))
+    np.matmul(xs[:, :, None, :], ps[:, None], out=s.transpose(2, 0, 1)[:, :, None])
+
+    def bw(g):
+        gs = np.ascontiguousarray(g.transpose(2, 0, 1))   # [HW, B, K]
+        dx, dp = np.empty(x.shape), np.empty(p.shape)
+        np.matmul(gs, ps.transpose(0, 2, 1), out=dx.transpose(2, 0, 1))
+        np.matmul(gs.transpose(0, 2, 1), xs, out=dp.transpose(2, 0, 1))
+        return dx, dp
+
+    return s, bw
 
 
 def _allpairs(x: np.ndarray, p: np.ndarray) -> tuple:
@@ -467,12 +491,21 @@ def _pair_offsets(bsz: int, hw: int, k: int, hwp: int, i, j) -> np.ndarray:
     return block + i * (k * hwp) + j
 
 
+def _to_operands(x: Tensor, p: Tensor, pair_bw):
+    """A node backward that sends pair_bw's two gradients to x and p."""
+    def bw(g):
+        dx, dp = pair_bw(g)
+        _accum(x, dx)
+        _accum(p, dp)
+
+    return bw
+
+
 def matched_cosine(fxh, fph, match: str) -> tuple:
     """Cosine of each input position with its matched prototype position.
 
-    fxh [B,C,HW] and fph [K,C,HWp] hold unit (or zero) columns. One GEMM
-    gives every position pair's cosine as m [B*HW, K*HWp]; `match` says
-    which entries of each (b, k) block are read out:
+    fxh [B,C,HW] and fph [K,C,HWp] hold unit (or zero) columns. `match`
+    says which prototype position each input position is paired with:
 
       aligned  input position i against prototype position i (HW == HWp)
       row      per input position, the max over prototype positions
@@ -484,10 +517,12 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
     best prototype position per input position (None when aligned), and
     cos_p with arg_x [B,K,HWp] exist for row+col only.
 
-    m is the op's one inner graph node. Each selection adds its gradient
-    into m's gradient buffer at the entries it read, and m's backward is
-    the matmul backward: no [B,K,HW,HWp] view of m enters the graph, and
-    no all-pairs-sized gradient is transposed or copied.
+    Aligned cosines are one node over (fxh, fph), from `_aligned`. The max
+    modes read one GEMM of all position pairs, m [B*HW, K*HWp], the op's
+    one inner node: each selection adds its gradient into m's gradient
+    buffer at the entries it read, and m's backward is the matmul
+    backward, so no all-pairs-sized gradient is transposed or copied. A
+    row of a batched call is bit-equal to a one-row call.
     """
     fxh, fph = _as_tensor(fxh), _as_tensor(fph)
     bsz, c, hw = fxh.shape
@@ -496,16 +531,11 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
         raise DimensionError(f"channel mismatch: {c} vs {cp}")
     if match not in MATCHES:
         raise ValueError(f"unknown match {match!r}")
-    if match == "aligned" and hw != hwp:
-        raise DimensionError("aligned similarity needs equal spatial grids")
+    if match == "aligned":
+        cos, cos_bw = _aligned(fxh.data, fph.data)
+        return _node(cos, (fxh, fph), _to_operands(fxh, fph, cos_bw)), None, None, None
     m, m_bw = _allpairs(fxh.data, fph.data)
-
-    def pairs_bw(g):
-        dx, dp = m_bw(g)
-        _accum(fxh, dx)
-        _accum(fph, dp)
-
-    pairs = _node(m, (fxh, fph), pairs_bw)
+    pairs = _node(m, (fxh, fph), _to_operands(fxh, fph, m_bw))
 
     def select(flat):
         def bw(g):
@@ -516,11 +546,8 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
 
         return _node(m.reshape(-1)[flat], (pairs,), bw)
 
-    pos = np.arange(hw)
-    if match == "aligned":
-        return select(_pair_offsets(bsz, hw, k, hwp, pos, pos)), None, None, None
     arg_p = m.reshape(bsz, hw, k, hwp).argmax(axis=3).transpose(0, 2, 1)   # [B, K, HW]
-    cos = select(_pair_offsets(bsz, hw, k, hwp, pos, arg_p))
+    cos = select(_pair_offsets(bsz, hw, k, hwp, np.arange(hw), arg_p))
     if match == "row":
         return cos, arg_p, None, None
     # first input position holding each column max, without argmax, which
@@ -543,14 +570,12 @@ def attended_score(w, fx, fp, v, arg_p=None) -> Tensor:
       z[b,k] = sum_i w[b,k,i] * S[b,k,i],
       S[b,k,i] = sum_c v[c] * fx[b,c,i] * fp[k,c,j],
 
-    with j = i (aligned, HW == HWp) or j = arg_p[b,k,i] (matched). The
-    attended vector over channels is never formed: S is read out of one
-    all-pairs GEMM of (fx * v) against fp, at the offsets matched_cosine
-    reads. The backward puts g * w into a zero all-pairs buffer at those
-    (distinct) offsets, and two GEMMs give the gradients of fx * v and fp.
-    With HW > 1 a one-image call is a GEMM too, whose rows BLAS sums alike
-    at any batch size, so a row of a batched call is bit-equal to a
-    one-row call.
+    with j = i (aligned, HW == HWp) or j = arg_p[b,k,i] (matched), for
+    (fx * v) and fp taken as matched_cosine takes its cosines: aligned
+    from `_aligned`, matched from the all-pairs GEMM, whose backward puts
+    g * w into a zero all-pairs buffer at the (distinct) offsets read. A
+    row of a batched call is bit-equal to a one-row call: with HW > 1 a
+    one-image GEMM's rows are summed as a batch's are.
     """
     w, fx, fp, v = _as_tensor(w), _as_tensor(fx), _as_tensor(fp), _as_tensor(v)
     bsz, c, hw = fx.shape
@@ -558,19 +583,24 @@ def attended_score(w, fx, fp, v, arg_p=None) -> Tensor:
     if cp != c or v.shape != (c,) or w.shape != (bsz, k, hw):
         raise DimensionError(f"attended score shapes disagree: w {w.shape}, fx {fx.shape}, "
                              f"fp {fp.shape}, v {v.shape}")
-    if arg_p is None and hw != hwp:
-        raise DimensionError("aligned similarity needs equal spatial grids")
-    m, m_bw = _allpairs(fx.data * v.data[:, None], fp.data)
-    pos = np.arange(hw)
-    flat = _pair_offsets(bsz, hw, k, hwp, pos, pos if arg_p is None else arg_p)
-    s = m.reshape(-1)[flat]
+    xv = fx.data * v.data[:, None]
+    if arg_p is None:
+        s, s_bw = _aligned(xv, fp.data)
+    else:
+        m, m_bw = _allpairs(xv, fp.data)
+        flat = _pair_offsets(bsz, hw, k, hwp, np.arange(hw), arg_p)
+        s = m.reshape(-1)[flat]
+
+        def s_bw(gs):
+            gm = np.zeros((bsz * hw, k * hwp))
+            gm.reshape(-1)[flat] = gs
+            return m_bw(gm)
+
     out = (w.data * s).sum(axis=2)
 
     def bw(g):
         _accum(w, g[:, :, None] * s)
-        gm = np.zeros((bsz * hw, k * hwp))
-        gm.reshape(-1)[flat] = g[:, :, None] * w.data
-        dxv, dfp = m_bw(gm)
+        dxv, dfp = s_bw(g[:, :, None] * w.data)
         _accum(fp, dfp)
         _accum(fx, dxv * v.data[:, None])
         _accum(v, np.einsum("bci,bci->c", dxv, fx.data))

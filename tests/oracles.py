@@ -8,13 +8,15 @@ cosines and the Head III score became fused autodiff ops
 (`tensor.matched_cosine`, `tensor.attended_score`): a dense
 [B,K,HW,HWp] cosine node, a diagonal gather or `tmax` on it, and a
 gathered [B,K,C,HW] prototype tensor for the III-B attended vector. The
-matched cosines must reproduce them bit for bit, the score to 1e-12. `finetune` is the post-pruning loop as it stood
-before training and finetuning shared one step loop (`replacement._fit`);
-the new loop must reproduce it bit for bit. `lrp_linear_eps` is the
-epsilon rule through one dense layer, the rule the relevance code writes
-out inline for the logit, similarity and pooling layers. `grad_check`
-is the central-difference reference every reverse-mode gradient is
-checked against.
+matched cosines must reproduce them bit for bit (the aligned ones, which
+sum in another order, to 1e-14), the score to 1e-12. `finetune` is the
+post-pruning loop as it stood before training and finetuning shared one
+step loop (`replacement._fit`); the new loop must reproduce it bit for
+bit. `lrp_linear_eps` is the epsilon rule through one dense layer, the
+rule the relevance code writes out inline for the logit, similarity and
+pooling layers. `grad_check` is the central-difference reference every
+reverse-mode gradient is checked against, and `encode` the graph-free
+encoder forward the tests take feature maps from.
 """
 from __future__ import annotations
 
@@ -40,6 +42,12 @@ def l2_normalize_channels(t, eps: float = T.EPS_NORM) -> Tensor:
     t = T._as_tensor(t)
     axis = 0 if t.ndim == 3 else 1
     return T.l2_normalize(t, axis=axis, eps=eps)
+
+
+def encode(encoder, images) -> np.ndarray:
+    """Feature maps of one image [C0,H0,W0] or a batch, without a graph."""
+    with T.no_grad():
+        return encoder.forward(Tensor(np.asarray(images, dtype=np.float64))).data
 
 
 def lrp_linear_eps(a: np.ndarray, w: np.ndarray, b, r_out: np.ndarray,

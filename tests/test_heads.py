@@ -15,7 +15,7 @@ from protostudent.replacement import PrototypeStore
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
-from oracles import (grad_check, sim_I, sim_IIA, sim_IIB, attention,
+from oracles import (encode, grad_check, sim_I, sim_IIA, sim_IIB, attention,
                      sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
 
 
@@ -213,10 +213,10 @@ class TestHeadForward:
         rng = np.random.default_rng(4)
         x = rng.random((1, 2, 4, 4))
         logits, rec = student.forward(x)
-        fx = student.encoder.encode(x[0])
+        fx = encode(student.encoder, x[0])
         want_z = []
         for k in range(2):
-            fp = student.encoder.encode(student.store.images[k])
+            fp = encode(student.encoder, student.store.images[k])
             want_z.append(cosine_map_loops(fx, fp).mean())
         np.testing.assert_allclose(rec.z.data[0], want_z, atol=1e-12)
         want_logits = student.head.w.data @ np.asarray(want_z) + student.head.b.data
@@ -268,7 +268,7 @@ class TestHeadForward:
         student = micro_student(kind, seed=16, k=5, config=config)
         x = np.random.default_rng(17).random((batch, 2, 5, 5))
         _, rec = student.forward(x)
-        fxs = student.encoder.encode(x)
+        fxs = encode(student.encoder, x)
         fps = student.store.features.data
         v = student.head.conv1d_w.data
         ix, kp = np.repeat(np.arange(batch), 5), np.tile(np.arange(5), batch)
@@ -334,4 +334,30 @@ class TestHeadGradients:
         student.store.features = student.encoder.forward(Tensor(student.store.images))
         logits, _ = head_forward(student.encoder.forward(Tensor(x)), student.store, student.head)
         T.tsum(T.square(logits)).backward()
+        assert all(p.grad is not None for p in student.params)
+
+    @pytest.mark.parametrize("kind,allpairs_calls", [("II-A", 0), ("III-A", 0), ("III-C", 1)])
+    def test_aligned_reads_take_no_allpairs_product(self, monkeypatch, kind, allpairs_calls):
+        """Aligned position pairs never build the all-pairs product: II-A
+        and III-A run forward and backward without it, and III-C builds it
+        once per forward, for its row and column maxima only."""
+        calls = []
+        allpairs = T._allpairs
+
+        def counted(x, p):
+            if not allpairs_calls:
+                raise AssertionError("all-pairs product on an aligned head")
+            calls.append(x.shape)
+            return allpairs(x, p)
+
+        monkeypatch.setattr(T, "_allpairs", counted)
+        student = micro_student(kind, seed=20)
+        x = np.random.default_rng(21).random((3, 2, 4, 4))
+        student.store.features = student.encoder.forward(Tensor(student.store.images))
+        for forwards in (1, 2):
+            logits, _ = head_forward(student.encoder.forward(Tensor(x)), student.store,
+                                     student.head)
+            assert len(calls) == forwards * allpairs_calls
+            T.tsum(T.square(logits)).backward()
+        assert len(calls) == 2 * allpairs_calls
         assert all(p.grad is not None for p in student.params)

@@ -13,7 +13,7 @@ from protostudent.replacement import binary_mask, masked_logits, threshold
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
-from oracles import grad_check
+from oracles import encode, grad_check
 
 
 class TestCrossEntropy:
@@ -76,7 +76,7 @@ class TestDistanceTerms:
         """Head I: an input equal to its same-class prototype."""
         student = micro_student("I", seed=2, k=1, classes=1)
         x = student.store.images[0:1]
-        j = _j("I", Tensor(student.encoder.encode(x)), np.array([0]), student.store)
+        j = _j("I", Tensor(encode(student.encoder, x)), np.array([0]), student.store)
         assert j.data == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_class_inverse_contribution(self):
@@ -95,8 +95,8 @@ class TestDistanceTerms:
         rng = np.random.default_rng(3)
         student = micro_student("II-A", seed=4, k=3, classes=2)
         x = rng.random((2, 2, 4, 4))
-        fx = np.stack([student.encoder.encode(xi) for xi in x])
-        fp = np.stack([student.encoder.encode(pi) for pi in student.store.images])
+        fx = np.stack([encode(student.encoder, xi) for xi in x])
+        fp = np.stack([encode(student.encoder, pi) for pi in student.store.images])
         labels_x = np.array([0, 1])
         c = fx.shape[1]
         want = 0.0

@@ -16,7 +16,7 @@ from protostudent.perturb import top1_heatmaps
 from protostudent.tensor import DimensionError, Tensor, _im2col_plan
 
 from conftest import MICRO_CONFIG, micro_student
-from oracles import lrp_linear_eps
+from oracles import encode, lrp_linear_eps
 
 
 class TestLrpParams:
@@ -319,7 +319,7 @@ class TestHeatmaps:
         x = np.random.default_rng(18).random((2, 4, 4))
         y, rec = lrp._ranking_forward(student, x[None])
         sel = set(int(v) for v in rec.argmax_p[0, 0])
-        feats = student.encoder.encode(np.stack([x, student.store.images[0]]))
+        feats = encode(student.encoder, np.stack([x, student.store.images[0]]))
         one = np.zeros(1, dtype=np.int64)
         _, _, r_fp = lrp._similarity_relevance(student, rec, y, one, one, feats[:1],
                                                feats[1:], 1e-3)

@@ -8,6 +8,7 @@ from protostudent.outlier import (MetricError, auc, maxprob_score,
 from protostudent.replacement import ParameterError
 
 from conftest import micro_student
+from oracles import encode
 
 
 def auc_pairs_oracle(scores, labels):
@@ -41,11 +42,11 @@ class TestUScores:
         student = micro_student("II-A", seed=2, k=2)
         rng = np.random.default_rng(3)
         x = rng.random((2, 4, 4))
-        fx = student.encoder.encode(x)
+        fx = encode(student.encoder, x)
         u = u_one(student, x)
         c = fx.shape[0]
         for k in range(2):
-            fp = student.encoder.encode(student.store.images[k])
+            fp = encode(student.encoder, student.store.images[k])
             fxn = fx.reshape(c, -1)
             fpn = fp.reshape(c, -1)
             cos = np.zeros(fxn.shape[1])

@@ -246,8 +246,10 @@ def _weighted_sum(rng, outs):
 
 class TestMatchedCosine:
     """The fused matched-cosine op against the dense all-pairs path it
-    replaced (tests/oracles.py): values and argmax bit-equal, gradients to
-    1e-12, and gradients against central differences."""
+    replaced (tests/oracles.py): values and argmax bit-equal for the max
+    modes, aligned values to 1e-14 (one product per position sums in
+    another order than the all-pairs GEMM), gradients to 1e-12, and
+    gradients against central differences."""
 
     @pytest.mark.parametrize("match", T.MATCHES)
     @settings(max_examples=100, deadline=None)
@@ -266,8 +268,13 @@ class TestMatchedCosine:
         want = matched_cosine_allpairs(ox, op, match)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
-            if g is not None:
-                np.testing.assert_array_equal(getattr(g, "data", g), getattr(w, "data", w))
+            if g is None:
+                continue
+            g, w = getattr(g, "data", g), getattr(w, "data", w)
+            if match == "aligned":
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+            else:
+                np.testing.assert_array_equal(g, w)
         wseed = rng.integers(2**32)
         _weighted_sum(np.random.default_rng(wseed), [got[0], got[2]]).backward()
         _weighted_sum(np.random.default_rng(wseed), [want[0], want[2]]).backward()
@@ -307,6 +314,32 @@ class TestMatchedCosine:
         (pairs,) = cos._parents
         assert cos_p._parents == (pairs,)
         assert pairs.shape == (2 * 4, 3 * 4) and pairs._parents == (x, p)
+
+    def test_aligned_graph_is_one_node(self):
+        """Aligned cosines hang straight off the two operands: no all-pairs
+        node or selection node sits between."""
+        rng = np.random.default_rng(36)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        p = Tensor(rng.standard_normal((3, 3, 4)), requires_grad=True)
+        cos = T.matched_cosine(x, p, "aligned")[0]
+        assert cos.shape == (2, 3, 4) and cos._parents == (x, p)
+
+    @pytest.mark.parametrize("match", T.MATCHES)
+    def test_rows_equal_one_row_calls(self, match):
+        """Each row of a batched call is bit-equal to the call on that row
+        alone, as batched explain pairs need."""
+        rng = np.random.default_rng([37, T.MATCHES.index(match)])
+        with T.no_grad():
+            fxh = T.l2_normalize(rng.random((5, 8, 16)), axis=1).data
+            fph = T.l2_normalize(rng.random((6, 8, 16)), axis=1).data
+            batched = T.matched_cosine(fxh, fph, match)
+            for b in range(5):
+                one = T.matched_cosine(fxh[b:b + 1], fph, match)
+                for got, want in zip(batched, one):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        np.testing.assert_array_equal(getattr(got, "data", got)[b:b + 1],
+                                                      getattr(want, "data", want))
 
     def test_shape_errors(self):
         x, p = Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 2, 3)))
