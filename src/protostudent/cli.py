@@ -26,7 +26,7 @@ from .heads import HEAD_KINDS, ConfigurationError
 from .losses import LossWeights
 from .replacement import (ParameterError, PruningError, ReplacementConfig,
                           ReplacementError, finetune, prune, train_student)
-from .tensor import DimensionError, EvaluationError
+from .tensor import DimensionError
 
 
 def _write_json(path, obj):
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except (TrainingError, EvaluationError) as err:
+    except TrainingError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (ParameterError, PruningError, ReplacementError, ConfigurationError,

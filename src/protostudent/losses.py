@@ -100,16 +100,16 @@ def _gather_bk(t: Tensor, arg: np.ndarray, axis_of_t: str) -> Tensor:
 def j_from_record(rec: H.SimilarityRecord, labels_x, labels_p) -> Tensor:
     """Head-appropriate distance objective from a forward record.
 
-    Head I compares pooled vectors. Every other head averages column
-    distances over input positions, each input column against its matched
-    prototype column (the same position, or argmax_p where recorded);
-    III-C adds the prototype-side term over its column maxima.
+    Head I compares pooled vectors through their recorded cosines s_raw.
+    Every other head averages column distances over input positions, each
+    input column against its matched prototype column (the same position,
+    or argmax_p where recorded); III-C adds the prototype-side term over
+    its column maxima.
     """
     if rec.kind == "I":
-        cos = T.matmul(rec.gxh, T.transpose(rec.gph, (1, 0)))
         nx = T.tsum(T.square(rec.gxh), axis=1)
         np_ = T.tsum(T.square(rec.gph), axis=1)
-        return _signed_mean(_pair_sq_dist(nx, np_, cos), labels_x, labels_p)
+        return _signed_mean(_pair_sq_dist(nx, np_, rec.s_raw), labels_x, labels_p)
     b, k, hw = rec.cos.shape
     np_sel = (T.reshape(rec.norms_p, (1, k, hw)) if rec.argmax_p is None
               else _gather_bk(rec.norms_p, rec.argmax_p, "p"))

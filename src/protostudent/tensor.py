@@ -33,10 +33,6 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class EvaluationError(RuntimeError):
-    """A numeric evaluation produced a non-finite value."""
-
-
 _grad_enabled = True
 
 
@@ -389,8 +385,8 @@ def matmul(a, b) -> Tensor:
             _accum(a, g @ b.data.T)
             _accum(b, np.outer(a.data, g))
         else:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(out, (a, b), bw)
 

@@ -15,7 +15,8 @@ step loop (`replacement._fit`); the new loop must reproduce it bit for
 bit. `lrp_linear_eps` is the epsilon rule through one dense layer, the
 rule the relevance code writes out inline for the logit, similarity and
 pooling layers. `grad_check` is the central-difference reference every
-reverse-mode gradient is checked against, and `encode` the graph-free
+reverse-mode gradient is checked against (`EvaluationError` when the
+function value is non-finite), and `encode` the graph-free
 encoder forward the tests take feature maps from.
 """
 from __future__ import annotations
@@ -263,6 +264,10 @@ def finetune(student: StudentModel, teacher: TeacherModel, train_data,
     return records
 
 
+class EvaluationError(RuntimeError):
+    """A numeric evaluation produced a non-finite value."""
+
+
 def grad_check(fn, params, h: float = 1e-5) -> float:
     """Compare reverse-mode gradients of a scalar program against central
     differences; returns max over elements of
@@ -271,7 +276,7 @@ def grad_check(fn, params, h: float = 1e-5) -> float:
         p.zero_grad()
     out = fn()
     if not np.isfinite(out.data).all():
-        raise T.EvaluationError("grad_check: function value is non-finite")
+        raise EvaluationError("grad_check: function value is non-finite")
     out.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from protostudent import tensor as T
 from protostudent.heads import HEAD_KINDS, head_forward
-from protostudent.tensor import DimensionError, EvaluationError, Tensor
+from protostudent.tensor import DimensionError, Tensor
 
 from conftest import micro_student
-from oracles import (grad_check, l2_normalize_channels, matched_attended_gather,
-                     matched_cosine_allpairs)
+from oracles import (EvaluationError, grad_check, l2_normalize_channels,
+                     matched_attended_gather, matched_cosine_allpairs)
 
 # the contractions the Head III score was composed of before
 # T.attended_score, which TestAttendedScore composes as its oracle
@@ -220,6 +220,19 @@ class TestSimplePrimitives:
         idx = np.array([[0, 5], [11, 5]])
         out = T.take_flat(Tensor(x), idx)
         np.testing.assert_array_equal(out.data, x.ravel()[idx])
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5))],
+                             ids=["stack-at-matrix", "matrix-at-stack"])
+    def test_broadcast_operand_gradients(self, a_shape, b_shape):
+        """A 2-D operand against a stacked one gets its gradient summed
+        over the stack."""
+        rng = np.random.default_rng(51)
+        a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+        w = rng.standard_normal((2, 3, 5))
+        assert grad_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), [a, b]) < 1e-8
 
 
 def _unit_columns(rng, shape, dead_share, constant):
