@@ -184,6 +184,7 @@ def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
             opt.zero_grad()
             loss.backward()
             opt.step()
+            del logits, logp, picked, loss   # free the step's graph before the next forward
             step += 1
     teacher.train_accuracy = teacher.accuracy(images, labels)
     if val_data is not None:

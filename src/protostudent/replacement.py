@@ -238,6 +238,10 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             head.clip_conv1d()
             log_records.append({"epoch": epoch, "iter": it, "loss": float(total.data),
                                 **parts, "tau": tau, "replaced": []})
+            # free this step's graph, and the conv columns it keeps, before
+            # the next step's forward
+            store.features = fp.data
+            del feats, fx, fp, y, rec, y_mask, j_val, total
             step += 1
         if p > 0:
             swaps = _replace_lowest(store, d_pools, images, labels, p, rng, opt)

@@ -3,8 +3,10 @@
 Every primitive used by the encoder, the similarity heads, and the losses
 lives here: elementwise arithmetic, reductions, matmul/einsum, conv2d,
 softmax variants, and channel normalization. Data is stored row-major at
-64-bit precision; gradients accumulate into same-shape buffers in a
-deterministic topological sweep.
+64-bit precision; gradients accumulate in a deterministic topological
+sweep. A node keeps the first gradient it receives as is, often a view of
+its child's gradient or the very same buffer, and adds later ones out of
+place, so no code may write into a gradient buffer in place.
 
 Two fused ops serve the spatial heads: `matched_cosine` gives the
 matched position cosines, `attended_score` the Head III score z without
@@ -146,10 +148,11 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: g may be (a view of) another node's grad buffer
-        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        # no copy: g may be (a view of) another node's gradient, which is
+        # safe because gradients are never written in place
+        t.grad = g
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -515,10 +518,11 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
 
     Aligned cosines are one node over (fxh, fph), from `_aligned`. The max
     modes read one GEMM of all position pairs, m [B*HW, K*HWp], the op's
-    one inner node: each selection adds its gradient into m's gradient
-    buffer at the entries it read, and m's backward is the matmul
-    backward, so no all-pairs-sized gradient is transposed or copied. A
-    row of a batched call is bit-equal to a one-row call.
+    one inner node: each selection adds its gradient at the entries it
+    read into one all-pairs buffer that the op owns and hands to m as its
+    gradient, and m's backward is the matmul backward, so no
+    all-pairs-sized gradient is transposed or copied. A row of a batched
+    call is bit-equal to a one-row call.
     """
     fxh, fph = _as_tensor(fxh), _as_tensor(fph)
     bsz, c, hw = fxh.shape
@@ -532,13 +536,16 @@ def matched_cosine(fxh, fph, match: str) -> tuple:
         return _node(cos, (fxh, fph), _to_operands(fxh, fph, cos_bw)), None, None, None
     m, m_bw = _allpairs(fxh.data, fph.data)
     pairs = _node(m, (fxh, fph), _to_operands(fxh, fph, m_bw))
+    gm = None   # m's gradient; only the selections below write into it
 
     def select(flat):
         def bw(g):
+            nonlocal gm
             if pairs.grad is None:
-                pairs.grad = np.zeros_like(m)
+                gm = np.zeros_like(m)
             # each selection reads distinct entries, so one fancy add is exact
-            pairs.grad.reshape(-1)[flat] += g
+            gm.reshape(-1)[flat] += g
+            pairs.grad = gm
 
         return _node(m.reshape(-1)[flat], (pairs,), bw)
 
@@ -720,11 +727,12 @@ def _col2im_add(dst, cols, kh, kw, stride):
                 j:j + stride * (w2 - 1) + 1:stride] += taps[:, :, i, j]
 
 
-# Byte budget of one batch tile's im2col buffer [t, C*kh*kw, H2*W2], so a
+# Byte budget of one batch tile's im2col columns [t, C*kh*kw, H2*W2], so a
 # tile stays in a 2 MiB L2 cache next to its padded input and GEMM output.
 # On the benchmark's train workload (2-vCPU Xeon, one BLAS thread) 512 KiB
 # ran fastest; 256 KiB (more tiles) and 1 to 2 MiB (cache spills) were
-# 3 to 7% slower.
+# 3 to 7% slower. A recorded call writes its tiles into one whole-batch
+# buffer, kept for the backward; the tiles and their GEMMs stay the same.
 _TILE_BYTES = 1 << 19
 
 
@@ -734,9 +742,12 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     x: [C,H,W] or [N,C,H,W]; kernel: [F,C,kh,kw]; bias: [F] or None.
     Output spatial extents follow floor((H + 2*pad - kh)/stride) + 1.
 
-    The batch is processed in tiles whose im2col buffer fits _TILE_BYTES;
-    the backward pass gathers each tile's columns again instead of keeping
-    them, so no call holds a whole-batch column buffer.
+    The batch is processed in tiles whose im2col columns fit _TILE_BYTES.
+    When a graph is recorded and the kernel needs a gradient, the tiles
+    are gathered into one whole-batch column buffer [N, M, L] that lives
+    as long as the graph, and the kernel gradient reads them back tile by
+    tile instead of gathering them again. Otherwise (no_grad: inference,
+    relevance, soft labels) one tile-sized buffer is reused.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if stride < 1:
@@ -755,21 +766,17 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     k2 = kernel.data.reshape(f, m)
     if bias is not None:
         bias = _as_tensor(bias)
+    keep = _grad_enabled and kernel.requires_grad
     xp = np.zeros((tile, c, hp, wp))  # padded tile; the border stays zero
-    cols = np.empty((tile, m, l))
-
-    def tiles():
-        """Yield (start, stop, columns [t, M, L]) for each batch tile."""
-        for s in range(0, n, tile):
-            e = min(n, s + tile)
-            xp[:e - s, :, pad:pad + h, pad:pad + w] = xd[s:e]
-            # every index is in range; mode="clip" lets take write into
-            # `out` directly, where the default mode would buffer
-            np.take(xp[:e - s].reshape(e - s, -1), idx, axis=1, out=cols[:e - s], mode="clip")
-            yield s, e, cols[:e - s]
-
+    cols = np.empty((n if keep else tile, m, l))
     out = np.empty((n, f, l))
-    for s, e, ct in tiles():
+    for s in range(0, n, tile):
+        e = min(n, s + tile)
+        ct = cols[s:e] if keep else cols[:e - s]
+        xp[:e - s, :, pad:pad + h, pad:pad + w] = xd[s:e]
+        # every index is in range; mode="clip" lets take write into `ct`
+        # directly, where the default mode would buffer
+        np.take(xp[:e - s].reshape(e - s, -1), idx, axis=1, out=ct, mode="clip")
         np.matmul(k2, ct, out=out[s:e])
         if bias is not None:
             out[s:e] += bias.data[:, None]
@@ -778,10 +785,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
 
     def bw(g):
         g2 = (g[None] if squeeze else g).reshape(n, f, l)
-        if kernel.requires_grad:
+        if keep:
             dk = np.zeros((f, m))
-            for s, e, ct in tiles():
-                dk += np.matmul(g2[s:e], ct.transpose(0, 2, 1)).sum(axis=0)
+            for s in range(0, n, tile):
+                dk += np.matmul(g2[s:s + tile], cols[s:s + tile].transpose(0, 2, 1)).sum(axis=0)
             _accum(kernel, dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=(0, 2)))

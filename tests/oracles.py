@@ -17,7 +17,10 @@ rule the relevance code writes out inline for the logit, similarity and
 pooling layers. `grad_check` is the central-difference reference every
 reverse-mode gradient is checked against (`EvaluationError` when the
 function value is non-finite), and `encode` the graph-free
-encoder forward the tests take feature maps from.
+encoder forward the tests take feature maps from. `conv2d_param_grads`
+is the conv kernel and bias gradient as it stood before `T.conv2d` kept
+its forward's im2col columns: each tile's columns gathered again in the
+backward; the kept columns must reproduce it bit for bit.
 """
 from __future__ import annotations
 
@@ -49,6 +52,28 @@ def encode(encoder, images) -> np.ndarray:
     """Feature maps of one image [C0,H0,W0] or a batch, without a graph."""
     with T.no_grad():
         return encoder.forward(Tensor(np.asarray(images, dtype=np.float64))).data
+
+
+def conv2d_param_grads(x: np.ndarray, kernel: np.ndarray, g: np.ndarray,
+                       stride: int, pad: int) -> tuple:
+    """(kernel, bias) gradients of T.conv2d on a batch x [N,C,H,W] for an
+    output gradient g, gathering each tile's im2col columns again, with
+    the tiles T.conv2d cuts under the current T._TILE_BYTES."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    idx, hp, wp, _, _ = T._im2col_plan(c, h, w, kh, kw, stride, pad)
+    m, l = idx.shape
+    tile = max(1, min(n, T._TILE_BYTES // (m * l * 8)))
+    g2 = g.reshape(n, f, l)
+    xp = np.zeros((tile, c, hp, wp))
+    cols = np.empty((tile, m, l))
+    dk = np.zeros((f, m))
+    for s in range(0, n, tile):
+        e = min(n, s + tile)
+        xp[:e - s, :, pad:pad + h, pad:pad + w] = x[s:e]
+        np.take(xp[:e - s].reshape(e - s, -1), idx, axis=1, out=cols[:e - s], mode="clip")
+        dk += np.matmul(g2[s:e], cols[:e - s].transpose(0, 2, 1)).sum(axis=0)
+    return dk.reshape(kernel.shape), g2.sum(axis=(0, 2))
 
 
 def lrp_linear_eps(a: np.ndarray, w: np.ndarray, b, r_out: np.ndarray,

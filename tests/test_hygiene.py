@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-reads an environment variable or defines a name that only tests call.
+reads an environment variable, writes into a gradient buffer in place or
+defines a name that only tests call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -80,6 +81,52 @@ def test_environment_checker_flags_reads():
               "d = os.path.join('environ', 'getenv')\n")
     assert environment_reads(source) == [(2, "from os import getenv"), (3, "os.environ"),
                                          (4, "os.getenv"), (5, "getenv")]
+
+
+def _rooted_at_grad(node) -> bool:
+    """Whether an assignment target reaches a `.grad` attribute through
+    attribute, subscript and call links (`t.grad`, `t.grad.reshape(-1)[i]`)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        if isinstance(node, ast.Attribute) and node.attr == "grad":
+            return True
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return False
+
+
+def gradient_writes(source: str) -> list:
+    """(line, target) of every augmented assignment, and every assignment
+    into a subscript, whose target is rooted at a `.grad` attribute. A node
+    may hold another node's gradient buffer as its own, so the package
+    only ever rebinds `.grad` (`t.grad = t.grad + g`)."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        else:
+            continue
+        writes.extend((node.lineno, ast.unparse(t)) for t in targets if _rooted_at_grad(t))
+    return sorted(writes)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_in_place_gradient_writes(path):
+    assert gradient_writes(path.read_text()) == []
+
+
+def test_gradient_write_checker_flags_in_place_writes():
+    source = ("t.grad += g\n"
+              "pairs.grad.reshape(-1)[flat] += g\n"
+              "t.grad[0] = 1.0\n"
+              "t.grad[:, 1][mask] = 0.0\n"
+              "t.grad = t.grad + g\n"
+              "t.grad = None\n"
+              "buf[t.grad > 0] = 0.0\n"
+              "v += clip * p.grad\n"
+              "gm.reshape(-1)[flat] += g\n")
+    assert gradient_writes(source) == [(1, "t.grad"), (2, "pairs.grad.reshape(-1)[flat]"),
+                                       (3, "t.grad[0]"), (4, "t.grad[:, 1][mask]")]
 
 
 def name_occurrences(source: str) -> list:

@@ -1,5 +1,7 @@
 """Tensor core: primitive values against hand results and brute-force
 oracles, and reverse-mode gradients against central differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from protostudent.heads import HEAD_KINDS, head_forward
 from protostudent.tensor import DimensionError, Tensor
 
 from conftest import micro_student
-from oracles import (EvaluationError, grad_check, l2_normalize_channels,
+from oracles import (EvaluationError, conv2d_param_grads, grad_check, l2_normalize_channels,
                      matched_attended_gather, matched_cosine_allpairs)
 
 # the contractions the Head III score was composed of before
@@ -150,6 +152,50 @@ class TestConv2dTiles:
 
         assert grad_check(fn, [x, k, b], h=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0), (3, 1)])
+    def test_kept_columns_match_regathered_backward(self, monkeypatch, stride, pad):
+        """The kernel and bias gradients read from the forward's kept
+        columns equal the regathering backward bit for bit, and a second
+        backward through the same graph still finds the columns."""
+        rng = np.random.default_rng([stride, pad, 31])
+        n, c, h, f, kh = 7, 2, 7, 3, 3
+        self._tiles_of(monkeypatch, 3, c, h, kh, stride, pad)  # tiles of 3, 3, 1
+        x = Tensor(rng.standard_normal((n, c, h, h)), requires_grad=True)
+        k = Tensor(rng.standard_normal((f, c, kh, kh)), requires_grad=True)
+        b = Tensor(rng.standard_normal(f), requires_grad=True)
+        out = T.conv2d(x, k, b, stride=stride, pad=pad)
+        for _ in range(2):
+            seed = rng.standard_normal(out.shape)
+            k.zero_grad()
+            b.zero_grad()
+            out.backward(seed)
+            dk, db = conv2d_param_grads(x.data, k.data, seed, stride, pad)
+            assert np.array_equal(k.grad, dk)
+            assert np.array_equal(b.grad, db)
+
+    def test_no_grad_call_keeps_no_batch_columns(self):
+        """Without a graph only one tile's columns are allocated; a
+        recorded call holds the whole batch's."""
+        rng = np.random.default_rng(23)
+        n, c, h = 64, 8, 16
+        x = rng.standard_normal((n, c, h, h))
+        k = Tensor(rng.standard_normal((2, c, 3, 3)), requires_grad=True)
+        batch_cols = T._im2col_plan(c, h, h, 3, 3, 1, 1)[0].size * 8 * n
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with T.no_grad():
+            plain = peak(lambda: T.conv2d(Tensor(x), k, stride=1, pad=1))
+        recorded = peak(lambda: T.conv2d(Tensor(x), k, stride=1, pad=1))
+        assert plain < batch_cols / 4
+        assert recorded >= batch_cols
+
     def test_default_budget_splits_large_batch(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((9, 3, 32, 32))
@@ -233,6 +279,36 @@ class TestMatmul:
         b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
         w = rng.standard_normal((2, 3, 5))
         assert grad_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), [a, b]) < 1e-8
+
+
+class TestGradientAliasing:
+    """A node keeps the first gradient it receives without a copy, so two
+    parents of an add hold one buffer; a later contribution to one of them
+    must not reach the other, nor the seed passed to backward."""
+
+    def test_add_parents_share_then_part(self):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        p = T.mul(x, 2.0)
+        q = T.mul(p, 3.0)    # p's second consumer runs after the add
+        seed = rng.standard_normal(4)
+        want = seed.copy()
+        T.add(p, q).backward(seed)
+        assert np.array_equal(q.grad, want)
+        assert np.array_equal(p.grad, want + want * 3.0)
+        assert np.array_equal(x.grad, (want + want * 3.0) * 2.0)
+        assert np.array_equal(seed, want)
+
+    def test_leaf_used_twice(self):
+        rng = np.random.default_rng(62)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        q = T.mul(a, 3.0)
+        seed = rng.standard_normal((2, 3))
+        want = seed.copy()
+        T.add(a, q).backward(seed)
+        assert np.array_equal(q.grad, want)
+        assert np.array_equal(a.grad, want + want * 3.0)
+        assert np.array_equal(seed, want)
 
 
 def _unit_columns(rng, shape, dead_share, constant):
