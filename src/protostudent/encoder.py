@@ -2,8 +2,9 @@
 
 The encoder is a stack of conv/ReLU blocks ending in a ReLU, so feature
 maps are always nonnegative — downstream similarity scores rely on that.
-The teacher adds spatial average pooling and a linear classifier on top
-and supplies soft labels for distillation.
+Each block is one `tensor.conv2d(..., relu=True)` node holding only the
+post-activation map. The teacher adds spatial average pooling and a
+linear classifier on top and supplies soft labels for distillation.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ class Encoder:
     def forward(self, x: Tensor) -> Tensor:
         h = x
         for kern, bias, (_, k, stride) in zip(self.kernels, self.biases, self.config.blocks):
-            h = T.relu(T.conv2d(h, kern, bias, stride=stride, pad=k // 2))
+            h = T.conv2d(h, kern, bias, stride=stride, pad=k // 2, relu=True)
         return h
 
     def forward_recorded(self, image: np.ndarray) -> tuple:
@@ -97,14 +98,16 @@ class Encoder:
         per-block inputs for relevance propagation. Returns (features, records):
         features are [C,H,W] for one image and [N,C,H,W] for a batch, and
         each record's "input" has the matching [..., C_in, H_in, W_in] shape.
-        Batch rows equal what one-image calls give."""
+        Batch rows equal what one-image calls give. Each block runs the
+        fused conv+bias+ReLU, clamped in place tile by tile, so a record's
+        "input" is the previous block's post-activation map itself."""
         a = np.asarray(image, dtype=np.float64)
         records = []
         with T.no_grad():
             for kern, bias, (_, k, stride) in zip(self.kernels, self.biases, self.config.blocks):
                 records.append({"input": a, "kernel": kern.data, "bias": bias.data,
                                 "stride": stride, "pad": k // 2})
-                a = np.maximum(T.conv2d(Tensor(a), kern, bias, stride=stride, pad=k // 2).data, 0.0)
+                a = T.conv2d(Tensor(a), kern, bias, stride=stride, pad=k // 2, relu=True).data
         return a, records
 
 

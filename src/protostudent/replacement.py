@@ -254,7 +254,7 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
 
 def train_student(teacher: TeacherModel, train_data, head_kind: str,
                   config: ReplacementConfig, weights: LossWeights,
-                  protos_per_class: int = 10, val_data=None) -> tuple:
+                  protos_per_class: int = 10) -> tuple:
     """Distill the teacher into a prototype head with iterative prototype
     replacement. Returns (student, store, log records)."""
     images = np.asarray(train_data[0], dtype=np.float64)
@@ -269,11 +269,6 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
     rng = np.random.default_rng([config.seed, 0x51])
     log_records = _fit(student, teacher, images, labels, d_pools, config.epochs,
                        config.iterations, p, config, weights, rng)
-    if val_data is not None:
-        log_records.append({"epoch": config.epochs, "iter": None,
-                            "val_accuracy": student.accuracy(np.asarray(val_data[0], dtype=np.float64),
-                                                             np.asarray(val_data[1])),
-                            "replaced": []})
     return student, store, log_records
 
 

@@ -15,6 +15,10 @@ one one-row product per (position, image); best-matched pairs are read
 out of one GEMM of every input position against every prototype
 position, at the same flat offsets in both ops.
 
+`conv2d(..., relu=True)` is an encoder block as one node: no second
+activation-sized array in the forward or the backward. It keeps the name
+`conv2d`, which the benchmark's tracer wraps; `relu` stays for Head I.
+
 `einsum` runs each contraction, forward and backward, as one plain
 np.einsum call without a contraction-path search: at three-operand head
 shapes a single C pass beats the FLOP-minimal order, whose intermediates
@@ -736,8 +740,9 @@ def _col2im_add(dst, cols, kh, kw, stride):
 _TILE_BYTES = 1 << 19
 
 
-def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation.
+def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
+           relu: bool = False) -> Tensor:
+    """2-D cross-correlation, with an optional ReLU epilogue.
 
     x: [C,H,W] or [N,C,H,W]; kernel: [F,C,kh,kw]; bias: [F] or None.
     Output spatial extents follow floor((H + 2*pad - kh)/stride) + 1.
@@ -748,6 +753,14 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     as long as the graph, and the kernel gradient reads them back tile by
     tile instead of gathering them again. Otherwise (no_grad: inference,
     relevance, soft labels) one tile-sized buffer is reused.
+
+    relu=True is relu(conv2d(...)) bit for bit: each tile's output is
+    clamped in place after its bias, while still in cache, so no
+    pre-activation array exists. The backward masks the gradient by the
+    node's own output, `out > 0`, true exactly where the pre-activation is
+    > 0 (NaN included), before reshaping it, so a strided gradient view is
+    copied once, by the mask. Tests take the linear default as the
+    pre-activation.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if stride < 1:
@@ -780,10 +793,15 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         np.matmul(k2, ct, out=out[s:e])
         if bias is not None:
             out[s:e] += bias.data[:, None]
+        if relu:
+            np.maximum(out[s:e], 0.0, out=out[s:e])
     out = out.reshape(n, f, h2, w2)
+    y = out[0] if squeeze else out
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(g):
+        if relu:
+            g = g * (y > 0.0)
         g2 = (g[None] if squeeze else g).reshape(n, f, l)
         if keep:
             dk = np.zeros((f, m))
@@ -799,4 +817,4 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
             dx = dxp[:, :, pad:hp - pad, pad:wp - pad] if pad else dxp
             _accum(x, dx[0] if squeeze else dx)
 
-    return _node(out[0] if squeeze else out, parents, bw)
+    return _node(y, parents, bw)

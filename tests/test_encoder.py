@@ -70,6 +70,56 @@ class TestEncoder:
         for rec in records:
             assert (rec["input"] >= 0).all()
 
+    def test_forward_is_one_node_per_block(self):
+        """Each block is one fused conv+bias+ReLU node whose parents are
+        (block input, kernel, bias): no separate ReLU node."""
+        enc = Encoder(SMALL, seed=10)
+        x = Tensor(np.random.default_rng(11).random((3, 3, 8, 8)))
+        h = enc.forward(x)
+        for kern, bias in reversed(list(zip(enc.kernels, enc.biases))):
+            h_in, k, b = h._parents
+            assert k is kern and b is bias
+            h = h_in
+        assert h is x
+
+    @pytest.mark.parametrize("config", [SMALL, EncoderConfig()], ids=["small", "default"])
+    def test_forward_matches_composed_blocks(self, config):
+        """Features and every kernel, bias and input gradient equal the
+        relu(conv2d(...)) stack composed here, bit for bit."""
+        rng = np.random.default_rng(12)
+        images = rng.random((5, config.in_channels, *config.input_size))
+        seed = rng.standard_normal((5, *config.feature_shape()))
+
+        def run(fused):
+            enc = Encoder(config, seed=13)
+            for b in enc.biases:
+                b.data = np.random.default_rng(14).standard_normal(b.shape)
+            x = Tensor(images, requires_grad=True)
+            if fused:
+                h = enc.forward(x)
+            else:
+                h = x
+                for kern, bias, (_, k, stride) in zip(enc.kernels, enc.biases, config.blocks):
+                    h = T.relu(T.conv2d(h, kern, bias, stride=stride, pad=k // 2))
+            h.backward(seed)
+            return [h.data, x.grad] + [p.grad for p in enc.params]
+
+        for got, want in zip(run(True), run(False)):
+            assert np.array_equal(got, want)
+
+    def test_recorded_forward_matches_composed_blocks(self):
+        enc = Encoder(SMALL, seed=15)
+        for b in enc.biases:
+            b.data = np.random.default_rng(16).standard_normal(b.shape)
+        a = np.random.default_rng(17).random((4, 3, 8, 8))
+        feats, records = enc.forward_recorded(a)
+        with T.no_grad():
+            for rec, kern, bias, (_, k, stride) in zip(records, enc.kernels, enc.biases,
+                                                       SMALL.blocks):
+                assert np.array_equal(rec["input"], a)
+                a = np.maximum(T.conv2d(Tensor(a), kern, bias, stride=stride, pad=k // 2).data, 0.0)
+        assert np.array_equal(feats, a)
+
     def test_too_small_feature_map_rejected(self):
         with pytest.raises(DimensionError):
             EncoderConfig(in_channels=3, blocks=((4, 3, 2),) * 3, input_size=(8, 8))

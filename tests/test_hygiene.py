@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-reads an environment variable, writes into a gradient buffer in place or
-defines a name that only tests call.
+reads an environment variable, writes into a gradient buffer in place,
+applies a separate ReLU to a conv2d result or defines a name that only
+tests call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -127,6 +128,53 @@ def test_gradient_write_checker_flags_in_place_writes():
               "gm.reshape(-1)[flat] += g\n")
     assert gradient_writes(source) == [(1, "t.grad"), (2, "pairs.grad.reshape(-1)[flat]"),
                                        (3, "t.grad[0]"), (4, "t.grad[:, 1][mask]")]
+
+
+def _calls(node, names) -> bool:
+    """Whether node is a call of a function named in `names`, bare or as
+    an attribute (`relu(...)`, `T.relu(...)`, `np.maximum(...)`)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id in names) or \
+        (isinstance(func, ast.Attribute) and func.attr in names)
+
+
+def unfused_activations(source: str) -> list:
+    """(line, call) of every `relu(...)` or `maximum(...)` call with an
+    argument that is a `conv2d(...)` result, or an attribute of one
+    (`.data`). `conv2d(..., relu=True)` clamps its own output in place,
+    so no second activation-sized array exists, forward or backward."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not _calls(node, ("relu", "maximum")):
+            continue
+        for arg in node.args:
+            while isinstance(arg, ast.Attribute):
+                arg = arg.value
+            if _calls(arg, ("conv2d",)):
+                found.append((node.lineno, ast.unparse(node)))
+                break
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_relu_applied_to_conv2d_results(path):
+    assert unfused_activations(path.read_text()) == []
+
+
+def test_unfused_activation_checker_flags_relu_on_conv2d():
+    source = ("h = T.relu(T.conv2d(h, k, b, stride=2, pad=1))\n"
+              "a = np.maximum(T.conv2d(Tensor(a), k, b).data, 0.0)\n"
+              "y = relu(conv2d(x, k))\n"
+              "h = T.conv2d(h, k, b, stride=2, pad=1, relu=True)\n"
+              "z = T.relu(s_raw)\n"
+              "np.maximum(self.conv1d_w.data, 0.0, out=self.conv1d_w.data)\n"
+              "c = np.maximum(conv2d_cols, 0.0)\n")
+    assert unfused_activations(source) == [
+        (1, "T.relu(T.conv2d(h, k, b, stride=2, pad=1))"),
+        (2, "np.maximum(T.conv2d(Tensor(a), k, b).data, 0.0)"),
+        (3, "relu(conv2d(x, k))")]
 
 
 def name_occurrences(source: str) -> list:

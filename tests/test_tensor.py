@@ -207,6 +207,87 @@ class TestConv2dTiles:
             np.testing.assert_allclose(out[i], conv2d_loops(x[i], k, 1, 1), atol=1e-12)
 
 
+class TestConv2dRelu:
+    """The ReLU epilogue, T.conv2d(..., relu=True), against T.relu composed
+    on the linear op: the forward and the x, kernel and bias gradients bit
+    for bit. Filter 0 has a NaN bias and filter 1 a zero kernel and bias,
+    so the mask meets NaN and exact zeros as well as both signs."""
+
+    @staticmethod
+    def _operands(rng, x_shape, f, kh):
+        c = x_shape[-3]
+        k = rng.standard_normal((f, c, kh, kh))
+        k[1] = 0.0
+        b = rng.standard_normal(f)
+        b[:2] = (np.nan, 0.0)
+        return rng.standard_normal(x_shape), k, b
+
+    @staticmethod
+    def _seed(rng, operands, stride, pad, padded_view=False):
+        """An output gradient; as a padded view it is the interior of a
+        zero-bordered buffer, as the next block's input gradient is."""
+        x, k, _ = operands
+        _, _, _, h2, w2 = T._im2col_plan(*x.shape[-3:], *k.shape[2:], stride, pad)
+        shape = x.shape[:-3] + (k.shape[0], h2, w2)
+        g = rng.standard_normal(shape)
+        if not padded_view:
+            return g
+        buf = np.zeros(shape[:-2] + (h2 + 2, w2 + 2))
+        buf[..., 1:-1, 1:-1] = g
+        view = buf[..., 1:-1, 1:-1]
+        assert not view.flags.c_contiguous
+        return view
+
+    @staticmethod
+    def _run(fused, operands, seed, stride, pad):
+        x, k, b = (Tensor(a, requires_grad=True) for a in operands)
+        if fused:
+            out = T.conv2d(x, k, b, stride=stride, pad=pad, relu=True)
+        else:
+            out = T.relu(T.conv2d(x, k, b, stride=stride, pad=pad))
+        out.backward(seed)
+        return out.data, x.grad, k.grad, b.grad
+
+    def _assert_same(self, operands, seed, stride, pad):
+        """Also checks that neither backward writes into the seed."""
+        want_seed = seed.copy()
+        fused = self._run(True, operands, seed, stride, pad)
+        composed = self._run(False, operands, seed, stride, pad)
+        assert np.array_equal(seed, want_seed)
+        for got, want in zip(fused, composed):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(fused[0][..., 0, :, :]).all()   # filter 0 is all NaN
+        assert (fused[3][:2] == 0.0).all()               # masked off entirely
+        return fused
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0), (3, 1)])
+    @pytest.mark.parametrize("padded_view", [False, True], ids=["contiguous", "padded-view"])
+    def test_matches_composed_relu_across_tiles(self, monkeypatch, stride, pad, padded_view):
+        rng = np.random.default_rng([stride, pad, padded_view, 71])
+        n, c, h, f, kh = 7, 2, 7, 4, 3
+        TestConv2dTiles._tiles_of(monkeypatch, 3, c, h, kh, stride, pad)  # tiles of 3, 3, 1
+        operands = self._operands(rng, (n, c, h, h), f, kh)
+        self._assert_same(operands, self._seed(rng, operands, stride, pad, padded_view),
+                          stride, pad)
+
+    @pytest.mark.parametrize("padded_view", [False, True], ids=["contiguous", "padded-view"])
+    def test_squeezed_input(self, padded_view):
+        rng = np.random.default_rng([padded_view, 72])
+        operands = self._operands(rng, (2, 6, 6), 3, 3)
+        seed = self._seed(rng, operands, 1, 1, padded_view)
+        assert self._assert_same(operands, seed, 1, 1)[0].shape == (3, 6, 6)
+
+    def test_no_grad_call(self):
+        rng = np.random.default_rng(73)
+        x, k, b = self._operands(rng, (5, 2, 6, 6), 3, 3)
+        with T.no_grad():
+            fused = T.conv2d(Tensor(x), Tensor(k, requires_grad=True), Tensor(b), pad=1, relu=True)
+            linear = T.conv2d(Tensor(x), Tensor(k, requires_grad=True), Tensor(b), pad=1)
+        assert fused._parents == () and fused._backward_fn is None
+        assert np.array_equal(fused.data, np.maximum(linear.data, 0.0), equal_nan=True)
+
+
 class TestSimplePrimitives:
     def test_softmax_uniform(self):
         out = T.softmax(Tensor(np.zeros(3)), axis=-1)
