@@ -9,7 +9,9 @@ ids/labels, and encoder configuration, so a load rebuilds the exact model.
 The CRC covers the header and the manifest as well as the payload, and is
 checked before the manifest is parsed, so an edited prototype label or
 tensor shape is rejected like a flipped payload bit. Version 1 files,
-whose CRC covered the payload only, are rejected.
+whose CRC covered the payload only, are rejected. A save overwrites an
+existing file in place (`imagefiles.write_file`), so one cut short mixes
+new and old bytes, which the CRC rejects.
 
 A file with a valid CRC is also checked against itself: encoder tensor
 shapes against the encoder configuration and, for students, the
@@ -27,6 +29,7 @@ import numpy as np
 
 from .encoder import Encoder, EncoderConfig, TeacherModel
 from .heads import HEAD_KINDS, HeadModel, StudentModel
+from .imagefiles import write_file
 from .replacement import PrototypeStore
 from .tensor import Tensor
 
@@ -59,10 +62,7 @@ def _write(path, manifest: dict, tensors: dict):
                        for arr in tensors.values())
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     head = MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
+    write_file(path, head + payload + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 def _read(path) -> tuple:

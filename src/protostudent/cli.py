@@ -23,6 +23,7 @@ from .config import ConfigError, RunConfig
 from .datasets import DatasetError
 from .encoder import EncoderConfig, TrainingError, train_teacher
 from .heads import HEAD_KINDS, ConfigurationError
+from .imagefiles import write_file
 from .losses import LossWeights
 from .replacement import (ParameterError, PruningError, ReplacementConfig,
                           ReplacementError, finetune, prune, train_student)
@@ -30,10 +31,7 @@ from .tensor import DimensionError
 
 
 def _write_json(path, obj):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _datasets(cfg: RunConfig) -> tuple:
@@ -92,9 +90,8 @@ def cmd_train_student(cfg: RunConfig) -> int:
                                         _replacement_config(cfg), weights,
                                         protos_per_class=cfg.protos_per_class)
     ckpt.save_student(out / "student.ckpt", student)
-    with open(out / "training_log.jsonl", "w") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_file(out / "training_log.jsonl",
+               "".join(json.dumps(record, sort_keys=True) + "\n" for record in log).encode())
     acc = student.accuracy(test.images, test.labels)
     _write_json(out / "student_report.json",
                 {"head": cfg.head, "test_accuracy": acc,
@@ -149,11 +146,9 @@ def cmd_outlier_eval(cfg: RunConfig) -> int:
     primary = min(int(cfg.kprime[-1] if len(cfg.kprime) else k), k)
     reports = O.score_samples(student, images, primary, is_outlier=flags,
                               baseline_model=baseline)
-    with open(out / "outlier_scores.csv", "w") as fh:
-        fh.write("sample_id,label,o,maxprob,pred_class\n")
-        for i, rep in enumerate(reports):
-            label = "outlier" if rep.is_outlier else "normal"
-            fh.write(f"{i},{label},{rep.o!r},{rep.maxprob!r},{rep.predicted_class}\n")
+    rows = "".join(f"{i},{'outlier' if rep.is_outlier else 'normal'},{rep.o!r},{rep.maxprob!r},"
+                   f"{rep.predicted_class}\n" for i, rep in enumerate(reports))
+    write_file(out / "outlier_scores.csv", ("sample_id,label,o,maxprob,pred_class\n" + rows).encode())
     labels = np.asarray(flags)
     u_matrix = np.stack([rep.u for rep in reports])
     maxprob = np.asarray([rep.maxprob for rep in reports])
@@ -184,10 +179,8 @@ def cmd_perturb_eval(cfg: RunConfig) -> int:
                                policy=policy, params=params, fill=fill, seed=cfg.seed,
                                heats=heats if policy == "relevance" else None)
         curves[policy] = curve
-        with open(out / f"curve_{policy}.csv", "w") as fh:
-            fh.write("step,mean_logit\n")
-            for step, value in enumerate(curve.mean_logits):
-                fh.write(f"{step},{value!r}\n")
+        rows = "".join(f"{step},{value!r}\n" for step, value in enumerate(curve.mean_logits))
+        write_file(out / f"curve_{policy}.csv", ("step,mean_logit\n" + rows).encode())
     summary = {p: {"aopc": c.aopc(), "mean_logits": c.mean_logits}
                for p, c in curves.items()}
     _write_json(out / "perturb_summary.json", summary)

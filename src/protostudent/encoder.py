@@ -87,11 +87,18 @@ class Encoder:
             dst.data = src.data.copy()
         return dup
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
+    def _run(self, h: Tensor, records: list | None = None) -> Tensor:
+        """The block loop of both forwards; appends each block's input and
+        parameters to `records` when one is given."""
         for kern, bias, (_, k, stride) in zip(self.kernels, self.biases, self.config.blocks):
+            if records is not None:
+                records.append({"input": h.data, "kernel": kern.data, "bias": bias.data,
+                                "stride": stride, "pad": k // 2})
             h = T.conv2d(h, kern, bias, stride=stride, pad=k // 2, relu=True)
         return h
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self._run(x)
 
     def forward_recorded(self, image: np.ndarray) -> tuple:
         """Forward one image [C0,H0,W0] or a batch [N,C0,H0,W0] collecting
@@ -101,14 +108,10 @@ class Encoder:
         Batch rows equal what one-image calls give. Each block runs the
         fused conv+bias+ReLU, clamped in place tile by tile, so a record's
         "input" is the previous block's post-activation map itself."""
-        a = np.asarray(image, dtype=np.float64)
         records = []
         with T.no_grad():
-            for kern, bias, (_, k, stride) in zip(self.kernels, self.biases, self.config.blocks):
-                records.append({"input": a, "kernel": kern.data, "bias": bias.data,
-                                "stride": stride, "pad": k // 2})
-                a = T.conv2d(Tensor(a), kern, bias, stride=stride, pad=k // 2, relu=True).data
-        return a, records
+            feats = self._run(Tensor(image), records)
+        return feats.data, records
 
 
 @dataclass

@@ -30,10 +30,14 @@ in the record fields a small table names.
 """
 from __future__ import annotations
 
+import json
+import zlib
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import imagefiles
 from .heads import StudentModel
 from .outlier import u_from_record
 from .tensor import DimensionError, Tensor, _col2im_add, _im2col_plan
@@ -363,12 +367,6 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
     carries the side's conservation residual |sum(heat) - sum(r_sim)| /
     |sum(r_sim)|, or null when sum(r_sim) is 0.
     """
-    import json
-    import zlib
-    from pathlib import Path
-
-    from .imagefiles import write_pgm16
-
     basepath = Path(basepath)
     r_sim = float(np.sum(pair.r_sim))
     peak = max(np.abs(pair.heat_input).max(), np.abs(pair.heat_proto).max())
@@ -377,7 +375,7 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
     for side, heat in (("input", pair.heat_input), ("proto", pair.heat_proto)):
         img = np.clip(np.abs(heat) * gain, 0.0, 1.0)
         pgm = basepath.parent / f"{basepath.name}_{side}.pgm"
-        checksum = zlib.crc32(write_pgm16(pgm, img))
+        checksum = zlib.crc32(imagefiles.write_pgm16(pgm, img))
         sidecar = {"k": pair.prototype_index, "u_k": pair.u_value,
                    "class": pair.predicted_class,
                    "min": float(heat.min()), "max": float(heat.max()),
@@ -385,6 +383,6 @@ def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
                    "conservation_residual":
                        abs(float(heat.sum()) - r_sim) / abs(r_sim) if r_sim else None}
         meta = basepath.parent / f"{basepath.name}_{side}.json"
-        meta.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        imagefiles.write_file(meta, (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
         written.extend([pgm, meta])
     return written

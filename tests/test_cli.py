@@ -1,5 +1,6 @@
 """CLI: config validation exit codes, artifact production, and run
 reproducibility at tiny scale."""
+import hashlib
 import json
 import os
 import zlib
@@ -210,3 +211,31 @@ class TestSweep:
                      "--epochs", "1"]) == 0
         report = json.loads((root / "out" / "sweep_report.json").read_text())
         assert [r["protos_per_class"] for r in report["rows"]] == [2, 4]
+
+
+def _digests(out):
+    return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+def test_rerun_into_same_out_dir_rewrites_identical_artifacts(tmp_path):
+    """A second pipeline run into the same out dir, over artifacts that were
+    each made 10 KB longer, leaves every file byte-identical to the
+    fresh-dir run: each write overwrites in place and trims to length."""
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps(tiny_config(out, n_per_class=12, n_test_per_class=3,
+                                           teacher_epochs=1, epochs=1, steps=2, topk=2)))
+    commands = ["train-teacher", "train-student", "explain", "outlier-eval", "perturb-eval"]
+    for command in commands:
+        assert main([command, "--config", str(path)]) == 0
+    fresh = _digests(out)
+    assert {"teacher.ckpt", "student.ckpt", "training_log.jsonl", "outlier_scores.csv",
+            "curve_relevance.csv", "perturb_summary.json"} <= set(fresh)
+    junk = np.random.default_rng(35).bytes(10_000)
+    for name in fresh:
+        with open(out / name, "ab") as fh:
+            fh.write(junk)
+    for command in commands:
+        assert main([command, "--config", str(path)]) == 0
+    assert _digests(out) == fresh

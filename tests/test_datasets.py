@@ -1,12 +1,16 @@
 """Generators: determinism, value ranges, corruption characteristics,
-HSV conversion, and the 16-bit PGM round trip."""
+HSV conversion, the 16-bit PGM round trip and the in-place file writer."""
+import errno
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from protostudent.datasets import (ALT_SHAPES, PRIMARY_SHAPES, DatasetError,
                                    gen_altered_color, gen_dataset, gen_strokes,
                                    hsv_to_rgb, rgb_to_hsv)
-from protostudent.imagefiles import ImageFormatError, read_pgm16, write_pgm16
+from protostudent.imagefiles import ImageFormatError, read_pgm16, write_file, write_pgm16
 
 
 class TestGenDataset:
@@ -122,3 +126,110 @@ class TestImageFiles:
         (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n65535\nshort")
         with pytest.raises(ImageFormatError):
             read_pgm16(tmp_path / "bad.pgm")
+
+
+def _open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+class TestWriteFile:
+    def test_long_short_long_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "f.bin"
+        for data in (b"L" * 10_000, b"short", bytes(range(256)) * 40):
+            write_file(path, data)
+            assert path.read_bytes() == data
+            assert path.stat().st_size == len(data)
+
+    def test_never_truncates_to_zero_first(self, tmp_path, monkeypatch):
+        """The file is opened without O_TRUNC and cut once, to the new
+        length, after the bytes are written."""
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"x" * 4096)
+        calls = []
+
+        def spy(name):
+            real = getattr(os, name)
+
+            def call(*args):
+                calls.append((name, args))
+                return real(*args)
+            return call
+
+        for name in ("open", "write", "ftruncate"):
+            monkeypatch.setattr(os, name, spy(name))
+        write_file(path, b"new bytes")
+        monkeypatch.undo()
+        assert [name for name, _ in calls] == ["open", "write", "ftruncate"]
+        assert not calls[0][1][1] & os.O_TRUNC
+        assert calls[2][1][1] == len(b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"old contents, longer than the new ones")
+        path.chmod(0o640)
+        before = path.stat()
+        write_file(path, b"new")
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert path.read_bytes() == b"new"
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_file(tmp_path / "f.bin", b"x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "f.bin").stat().st_mode) == 0o666 & ~0o027
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"0123456789")
+        link = tmp_path / "link.bin"
+        link.symlink_to(target)
+        write_file(link, b"abc")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"abc"
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        calls = []
+
+        def one_byte(fd, buf):
+            calls.append(len(buf))
+            return real_write(fd, bytes(buf[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        data = b"P5\n2 1\n65535\n\x00\x01\xff\xfe"
+        write_file(tmp_path / "f.pgm", data)
+        monkeypatch.undo()
+        assert (tmp_path / "f.pgm").read_bytes() == data
+        assert calls == list(range(len(data), 0, -1))
+
+    def test_directory_path_raises_and_leaks_no_fd(self, tmp_path):
+        before = _open_fds()
+        with pytest.raises(IsADirectoryError):
+            write_file(tmp_path, b"x")
+        assert _open_fds() == before
+
+    def test_failed_write_closes_the_fd(self, tmp_path, monkeypatch):
+        real_close = os.close
+        opened, closed = [], []
+
+        def full_disk(fd, buf):
+            opened.append(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def record_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        before = _open_fds()
+        monkeypatch.setattr(os, "write", full_disk)
+        monkeypatch.setattr(os, "close", record_close)
+        with pytest.raises(OSError) as err:
+            write_file(tmp_path / "f.bin", b"data")
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert closed == opened[:1] and len(opened) == 1
+        assert _open_fds() == before

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 reads an environment variable, writes into a gradient buffer in place,
-applies a separate ReLU to a conv2d result or defines a name that only
-tests call.
+applies a separate ReLU to a conv2d result, writes a file other than
+through `imagefiles.write_file` or defines a name that only tests call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -175,6 +175,72 @@ def test_unfused_activation_checker_flags_relu_on_conv2d():
         (1, "T.relu(T.conv2d(h, k, b, stride=2, pad=1))"),
         (2, "np.maximum(T.conv2d(Tensor(a), k, b).data, 0.0)"),
         (3, "relu(conv2d(x, k))")]
+
+
+def _write_mode(call) -> bool:
+    """Whether an `open(...)` call names a mode, positional (after the path
+    of a bare `open`, first for a method such as `Path.open`) or keyword,
+    that is a string containing w, a, x or +."""
+    pos = 1 if isinstance(call.func, ast.Name) else 0
+    modes = call.args[pos:pos + 1] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and set(m.value) & set("wax+") for m in modes)
+
+
+def file_writes(source: str, writer: str | None = None) -> list:
+    """(line, call) of every file write that bypasses the package's one
+    writer: `open(...)` (bare or as a method, `Path.open`) with a write
+    mode, any `.write_text(...)` or `.write_bytes(...)`, and any
+    `os.open(...)` outside the function named `writer`."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == writer:
+            exempt.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        is_os_open = isinstance(func, ast.Attribute) and func.attr == "open" and \
+            isinstance(func.value, ast.Name) and func.value.id == "os"
+        if (is_os_open and id(node) not in exempt) or \
+                (name == "open" and not is_os_open and _write_mode(node)) or \
+                name in ("write_text", "write_bytes"):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_file_writer(path):
+    """Every artifact goes through `imagefiles.write_file`, which overwrites
+    in place instead of truncating to zero first."""
+    writer = "write_file" if path.name == "imagefiles.py" else None
+    assert file_writes(path.read_text(), writer) == []
+
+
+def test_file_write_checker_flags_writes_outside_the_writer():
+    source = ("import os\n"
+              "def write_file(path, data):\n"
+              "    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+              "def save(path, text, blob):\n"
+              "    with open(path, 'w') as fh:\n"
+              "        fh.write(text)\n"
+              "    open(path, mode='ab')\n"
+              "    path.open('r+b')\n"
+              "    path.write_text(text)\n"
+              "    path.write_bytes(blob)\n"
+              "    fd = os.open(path, os.O_RDONLY)\n"
+              "    open(path, 'rb').read()\n"
+              "    open(path).read()\n"
+              "    write_file(path, blob)\n")
+    assert file_writes(source, "write_file") == [
+        (5, "open(path, 'w')"), (7, "open(path, mode='ab')"), (8, "path.open('r+b')"),
+        (9, "path.write_text(text)"), (10, "path.write_bytes(blob)"),
+        (11, "os.open(path, os.O_RDONLY)")]
+    assert [line for line, _ in file_writes(source)] == [3, 5, 7, 8, 9, 10, 11]
 
 
 def name_occurrences(source: str) -> list:

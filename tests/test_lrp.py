@@ -1,6 +1,7 @@
 """Relevance propagation: rule-level values, conv-as-matrix oracle,
 conservation ledgers, and heatmap structure."""
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from protostudent import lrp
 from protostudent import tensor as T
 from protostudent.encoder import Encoder, EncoderConfig
 from protostudent.heads import StudentModel
+from protostudent.imagefiles import read_pgm16
 from protostudent.lrp import (LrpParams, PropagationError, encoder_lrp, explain,
                               export_pair, heatmaps, lrp_conv_alphabeta)
 from protostudent.perturb import top1_heatmaps
@@ -503,3 +505,27 @@ class TestExportPair:
         for side in ("input", "proto"):
             meta = json.loads((tmp_path / f"pair_{side}.json").read_text())
             assert meta["conservation_residual"] is None
+
+    def test_export_over_longer_files_matches_fresh_export(self, tmp_path):
+        """Exporting over a base whose four files already hold 10 KB of junk
+        leaves the same bytes as an export into an empty directory."""
+        student = micro_student("III-B", seed=32, k=3)
+        pair = heatmaps(student, np.random.default_rng(33).random((2, 4, 4)), 1)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        junk = np.random.default_rng(34).bytes(10_000)
+        for side in ("input", "proto"):
+            for ext in ("pgm", "json"):
+                (reused / f"pair_{side}.{ext}").write_bytes(junk)
+        written = export_pair(pair, reused / "pair")
+        export_pair(pair, fresh / "pair")
+        assert len(written) == 4
+        for path in written:
+            assert path.read_bytes() == (fresh / path.name).read_bytes()
+        peak = max(np.abs(pair.heat_input).max(), np.abs(pair.heat_proto).max())
+        for side, heat in (("input", pair.heat_input), ("proto", pair.heat_proto)):
+            pgm = reused / f"pair_{side}.pgm"
+            meta = json.loads((reused / f"pair_{side}.json").read_text())
+            assert meta["checksum"] == zlib.crc32(pgm.read_bytes())
+            assert np.abs(read_pgm16(pgm) - np.abs(heat) / peak).max() <= 0.5 / 65535 + 1e-12
