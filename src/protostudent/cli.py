@@ -59,6 +59,11 @@ def _lrp_params(cfg: RunConfig) -> X.LrpParams:
     return X.LrpParams(alpha=cfg.lrp_alpha, beta=cfg.lrp_beta, epsilon=cfg.lrp_epsilon)
 
 
+def _at_most(name: str, value: int, limit: int, what: str):
+    if value > limit:
+        raise ConfigError(name, f"{value} exceeds {what} ({limit})")
+
+
 def _out(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,11 +108,13 @@ def cmd_train_student(cfg: RunConfig) -> int:
 def cmd_explain(cfg: RunConfig) -> int:
     out = _out(cfg)
     _, test = _datasets(cfg)
+    _at_most("explain_samples", cfg.explain_samples, len(test.images), "the test-set size")
     student = ckpt.load_student(out / "student.ckpt")
+    _at_most("topk", cfg.topk, len(student.store), "the student's prototype count K")
     params = _lrp_params(cfg)
     heat_dir = out / "heatmaps"
     heat_dir.mkdir(exist_ok=True)
-    n = max(0, min(cfg.explain_samples, len(test.images)))
+    n = cfg.explain_samples
     total = 0
     for i, pairs in enumerate(X.explain(student, test.images[:n], topk=cfg.topk, params=params)):
         for rank, pair in enumerate(pairs):
@@ -140,10 +147,11 @@ def cmd_outlier_eval(cfg: RunConfig) -> int:
     if (out / "teacher.ckpt").exists():
         baseline = ckpt.load_teacher(out / "teacher.ckpt")
     k = len(student.store)
+    _at_most("kprime", max(cfg.kprime, default=k), k, "the student's prototype count K")
     outliers = _outlier_images(cfg, test)
     images = np.concatenate([test.images, outliers])
     flags = [False] * len(test.images) + [True] * len(outliers)
-    primary = min(int(cfg.kprime[-1] if len(cfg.kprime) else k), k)
+    primary = int(cfg.kprime[-1] if len(cfg.kprime) else k)
     reports = O.score_samples(student, images, primary, is_outlier=flags,
                               baseline_model=baseline)
     rows = "".join(f"{i},{'outlier' if rep.is_outlier else 'normal'},{rep.o!r},{rep.maxprob!r},"
@@ -287,7 +295,7 @@ def main(argv=None) -> int:
     except TrainingError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ParameterError, PruningError, ReplacementError, ConfigurationError,
+    except (ConfigError, ParameterError, PruningError, ReplacementError, ConfigurationError,
             DatasetError, DimensionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

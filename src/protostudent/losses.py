@@ -15,7 +15,7 @@ import numpy as np
 from . import heads as H
 from . import tensor as T
 from .encoder import TrainingError
-from .tensor import Tensor
+from .tensor import DimensionError, Tensor
 
 EPS_LOG = 1e-12
 EPS_J = 1e-6
@@ -41,13 +41,12 @@ def cross_entropy(targets, logits) -> Tensor:
     any finite logits (the role of the eps-inside-log guard) without the
     gradient saturation an additive guard would cause.
 
-    targets may be an integer label, an integer label array, or a
-    probability vector/matrix summing to 1 per row.
+    logits are [B, classes]; targets may be an integer label array, or a
+    probability matrix summing to 1 per row.
     """
     logits = logits if isinstance(logits, Tensor) else Tensor(np.asarray(logits, dtype=np.float64))
-    squeeze = logits.ndim == 1
-    if squeeze:
-        logits = T.reshape(logits, (1, logits.shape[0]))
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy needs logits [B, classes], got {logits.shape}")
     logp = T.log_softmax(logits, axis=-1)
     tarr = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
     if np.issubdtype(tarr.dtype, np.integer):

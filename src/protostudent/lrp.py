@@ -357,20 +357,18 @@ def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
     return out if x.ndim == 4 else out[0]
 
 
-def export_pair(pair: RelevancePair, basepath, scaled: bool = False) -> list:
+def export_pair(pair: RelevancePair, basepath) -> list:
     """Write both heatmaps as 16-bit PGM magnitude images plus JSON
     sidecars; returns the written paths.
 
-    Magnitudes are normalized per pair by max |relevance|; with
-    scaled=True the intensity is additionally multiplied by the pair's
-    similarity score so weaker matches render dimmer. Each sidecar
+    Magnitudes are normalized per pair by max |relevance|. Each sidecar
     carries the side's conservation residual |sum(heat) - sum(r_sim)| /
     |sum(r_sim)|, or null when sum(r_sim) is 0.
     """
     basepath = Path(basepath)
     r_sim = float(np.sum(pair.r_sim))
     peak = max(np.abs(pair.heat_input).max(), np.abs(pair.heat_proto).max())
-    gain = (pair.u_value if scaled else 1.0) / peak if peak > 0 else 0.0
+    gain = 1.0 / peak if peak > 0 else 0.0
     written = []
     for side, heat in (("input", pair.heat_input), ("proto", pair.heat_proto)):
         img = np.clip(np.abs(heat) * gain, 0.0, 1.0)

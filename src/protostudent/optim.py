@@ -54,10 +54,6 @@ class SGD:
                 v += clip * grad + self.weight_decay * p.data
                 p.data -= lr * v
 
-    def reset_velocity(self, param: Tensor, indices=None):
-        """Clear momentum state, optionally only at given indices."""
-        v = self._velocity[id(param)]
-        if indices is None:
-            v[...] = 0.0
-        else:
-            v[indices] = 0.0
+    def reset_velocity(self, param: Tensor, indices):
+        """Clear the momentum state of param at the given indices."""
+        self._velocity[id(param)][indices] = 0.0

@@ -12,6 +12,7 @@ only when a step first trains on it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class ReplacementError(RuntimeError):
 
 
 class PruningError(RuntimeError):
-    """Pruning would remove every prototype of some class."""
+    """Pruning more than K minus the class count would empty a class."""
 
 
 @dataclass
@@ -78,27 +79,11 @@ class ReplacementConfig:
         return p
 
 
-def threshold(m: np.ndarray, p: int) -> float:
-    """p-th smallest entry of m (ascending order statistic)."""
-    m = np.asarray(m, dtype=np.float64)
-    if not 1 <= p <= len(m):
-        raise ParameterError(f"p={p} out of range for K={len(m)}")
-    return float(np.partition(m, p - 1)[p - 1])
-
-
-def binary_mask(m: np.ndarray, tau: float, p: int) -> np.ndarray:
-    """Zero exactly p entries: all below tau, then ties at tau from the
-    lowest index up. Entries above tau are 1."""
-    m = np.asarray(m, dtype=np.float64)
-    mask = np.ones(len(m))
-    below = m < tau
-    mask[below] = 0.0
-    need = p - int(below.sum())
-    ties = np.flatnonzero(m == tau)
-    if need < 0 or need > len(ties):
-        raise ParameterError("tau is not the p-th order statistic of m")
-    mask[ties[:need]] = 0.0
-    return mask
+def lowest(m: np.ndarray, count: int) -> np.ndarray:
+    """Slots of the `count` smallest entries of m, smallest first, ties by
+    slot index. The one prototype ranking: the auxiliary mask, the swaps
+    and `prune` all read it."""
+    return np.argsort(m, kind="stable")[:count]
 
 
 def masked_logits(z: Tensor, mask: np.ndarray, model: HeadModel) -> Tensor:
@@ -144,8 +129,7 @@ def _replace_lowest(store: PrototypeStore, d_pools: dict, images, labels,
                     p: int, rng: np.random.Generator, opt: SGD | None) -> list:
     """Swap the p lowest-importance prototypes against class-matched draws
     from D; returns the swap log [(slot, out_id, in_id), ...]."""
-    order = np.argsort(store.m_weights.data, kind="stable")
-    slots = np.sort(order[:p])
+    slots = np.sort(lowest(store.m_weights.data, p))
     by_class: dict = {}
     for slot in slots:
         by_class.setdefault(int(store.labels[slot]), []).append(int(slot))
@@ -220,11 +204,11 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             store.features = fp
             y, rec = head_forward(fx, store, head)
             y_pred = y.data.argmax(axis=1)
+            tau, mask = None, np.ones(k)
             if p > 0:
-                tau = threshold(store.m_weights.data, p)
-                mask = binary_mask(store.m_weights.data, tau, p)
-            else:
-                tau, mask = None, np.ones(k)
+                masked = lowest(store.m_weights.data, p)
+                mask[masked] = 0.0
+                tau = float(store.m_weights.data[masked[-1]])
             y_mask = masked_logits(rec.z, mask, head)
             j_val = L.j_from_record(rec, labels[batch], store.labels)
             try:
@@ -273,9 +257,11 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
 
 
 def prune(student: StudentModel, fraction: float) -> StudentModel:
-    """Drop the round(fraction*K) lowest-importance prototypes together
-    with their head columns and importance entries. Returns an
-    independent model ready for finetuning; the input model is untouched.
+    """Drop round(fraction*K) prototypes together with their head columns
+    and importance entries: the lowest in the ranking, skipping a slot
+    whose class would lose its last prototype, so every class keeps one.
+    Returns an independent model ready for finetuning; the input model is
+    untouched.
     """
     if not 0.0 < fraction < 1.0:
         raise ParameterError("prune fraction must be in (0, 1)")
@@ -284,12 +270,16 @@ def prune(student: StudentModel, fraction: float) -> StudentModel:
     drop = int(round(fraction * k))
     if not 1 <= drop < k:
         raise ParameterError(f"prune count {drop} must satisfy 1 <= count < K={k}")
-    order = np.argsort(store.m_weights.data, kind="stable")
-    removed = set(int(i) for i in order[:drop])
-    keep = np.asarray([i for i in range(k) if i not in removed], dtype=np.int64)
-    kept_classes = set(int(c) for c in store.labels[keep])
-    if kept_classes != set(int(c) for c in store.labels):
-        raise PruningError("pruning would remove an entire class")
+    left = Counter(store.labels.tolist())   # prototypes per class
+    if drop > k - len(left):
+        raise PruningError(f"pruning {drop} of K={k} would remove an entire class")
+    removed = []
+    for slot in lowest(store.m_weights.data, k):
+        cls = int(store.labels[slot])
+        if len(removed) < drop and left[cls] > 1:
+            left[cls] -= 1
+            removed.append(slot)
+    keep = np.setdiff1d(np.arange(k), removed)
     new_store = PrototypeStore(ids=store.ids[keep].copy(),
                                images=store.images[keep].copy(),
                                labels=store.labels[keep].copy(),

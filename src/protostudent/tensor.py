@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every primitive used by the encoder, the similarity heads, and the losses
-lives here: elementwise arithmetic, reductions, matmul/einsum, conv2d,
-softmax variants, and channel normalization. Data is stored row-major at
-64-bit precision; gradients accumulate in a deterministic topological
-sweep. A node keeps the first gradient it receives as is, often a view of
-its child's gradient or the very same buffer, and adds later ones out of
+lives here: add, mul, div, relu and square, reshape, transpose, row splits
+and flat gathers, sum and mean, 2-D (or stacked) matmul, conv2d, softmax
+variants, and channel normalization. Data is stored row-major at 64-bit
+precision; gradients accumulate in a deterministic topological sweep. A
+node keeps the first gradient it receives as is, often a view of its
+child's gradient or the very same buffer, and adds later ones out of
 place, so no code may write into a gradient buffer in place.
 
 Two fused ops serve the spatial heads: `matched_cosine` gives the
@@ -18,11 +19,8 @@ position, at the same flat offsets in both ops.
 `conv2d(..., relu=True)` is an encoder block as one node: no second
 activation-sized array in the forward or the backward. It keeps the name
 `conv2d`, which the benchmark's tracer wraps; `relu` stays for Head I.
-
-`einsum` runs each contraction, forward and backward, as one plain
-np.einsum call without a contraction-path search: at three-operand head
-shapes a single C pass beats the FLOP-minimal order, whose intermediates
-and reshape copies cost more than the FLOPs they save.
+`tmax` and `einsum` have no caller in the package: the tests' oracles
+compose them, and they stay because the tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -102,46 +100,8 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -194,17 +154,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _node(out, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
@@ -243,36 +192,6 @@ def square(t) -> Tensor:
 
     def bw(g):
         _accum(t, 2.0 * g * t.data)
-
-    return _node(out, (t,), bw)
-
-
-def exp(t) -> Tensor:
-    t = _as_tensor(t)
-    out = np.exp(t.data)
-
-    def bw(g):
-        _accum(t, g * out)
-
-    return _node(out, (t,), bw)
-
-
-def log(t) -> Tensor:
-    t = _as_tensor(t)
-    out = np.log(t.data)
-
-    def bw(g):
-        _accum(t, g / t.data)
-
-    return _node(out, (t,), bw)
-
-
-def sqrt(t) -> Tensor:
-    t = _as_tensor(t)
-    out = np.sqrt(t.data)
-
-    def bw(g):
-        _accum(t, 0.5 * g / out)
 
     return _node(out, (t,), bw)
 
@@ -376,50 +295,34 @@ def tmax(t, axis, keepdims=False) -> Tensor:
 # -- linear algebra ---------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Product of operands of 2 or more dims; a broadcast stack's gradient is summed."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[-1] != b.shape[0 if b.ndim <= 2 else -2]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs operands of at least 2 dims: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def bw(g):
-        if a.ndim == 1 and b.ndim == 1:
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        elif b.ndim == 1:
-            _accum(a, np.outer(g, b.data) if a.ndim == 2 else g[..., None] * b.data)
-            _accum(b, a.data.T @ g if a.ndim == 2 else _unbroadcast(g[..., None] * a.data, b.shape))
-        elif a.ndim == 1:
-            _accum(a, g @ b.data.T)
-            _accum(b, np.outer(a.data, g))
-        else:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(out, (a, b), bw)
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map w @ x + b for a vector x, or x @ w.T + b for a batch."""
+    """Affine map x @ w.T + b for a batch of rows x [N, D]."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.shape[1] != x.shape[-1]:
         raise DimensionError(f"linear: weight columns {w.shape[1]} != input width {x.shape[-1]}")
-    if x.ndim == 1:
-        return add(matmul(w, x), b)
     return add(matmul(x, transpose(w, (1, 0))), b)
 
 
 def einsum(spec: str, *tensors) -> Tensor:
-    """Einstein summation with reverse-mode backward.
-
-    Each operand's gradient is itself an einsum with that operand's index
-    spec swapped against the output spec, so no operand may use an index
-    absent from all other specs.
-
-    Every contraction, forward and backward, is one plain np.einsum call:
-    a single C loop over all operands with no path search. A FLOP-minimal
-    path splits the three-operand III-B contractions into a [B,K,C,HW]
-    outer-product intermediate plus reshape copies, which ran 10 to 16x
-    slower than the single pass at batch 64 (one BLAS thread).
+    """Einstein summation with reverse-mode backward: each operand's
+    gradient is an einsum of its spec against the output spec, so no
+    operand may use an index absent from all other specs. Each contraction
+    is one plain np.einsum call, without a contraction-path search.
     """
     ts = [_as_tensor(t) for t in tensors]
     in_part, out_spec = spec.split("->")

@@ -20,9 +20,8 @@ from protostudent.losses import LossWeights, j_from_record, total_loss
 from protostudent.lrp import LrpParams, heatmaps
 from protostudent.outlier import auc, score_samples, u_from_record
 from protostudent.perturb import perturb_eval, top1_heatmaps
-from protostudent.replacement import (ReplacementConfig, binary_mask, finetune,
-                                      init_store, masked_logits, prune,
-                                      threshold, train_student)
+from protostudent.replacement import (ReplacementConfig, finetune, init_store,
+                                      lowest, masked_logits, prune, train_student)
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
@@ -107,8 +106,8 @@ class TestCriterion1GradientSuite:
                     fx, fp = T.split_rows(feats, [2, k])
                     student.store.features = fp
                     logits, rec = head_forward(fx, student.store, student.head)
-                    tau = threshold(student.store.m_weights.data, 1)
-                    mask = binary_mask(student.store.m_weights.data, tau, 1)
+                    mask = np.ones(k)
+                    mask[lowest(student.store.m_weights.data, 1)] = 0.0
                     y_mask = masked_logits(rec.z, mask, student.head)
                     j = j_from_record(rec, labels, student.store.labels)
                     total, _ = total_loss(labels, logits, y_teacher,
@@ -140,8 +139,17 @@ class TestCriterion2MaskReplacement:
             else:
                 m = np.full(k, float(rng.random()))   # all tied
             p = int(rng.integers(1, k + 1))
-            mask = binary_mask(m, threshold(m, p), p)
+            masked = lowest(m, p)
+            mask = np.ones(k)
+            mask[masked] = 0.0
             assert int((mask == 0).sum()) == p
+            # below the p-th smallest all zeroed, above it all kept, and
+            # the slots tied with it zeroed from the lowest index up
+            tau = m[masked[-1]]
+            assert (mask[m < tau] == 0).all() and (mask[m > tau] == 1).all()
+            tied = np.flatnonzero(m == tau)
+            need = p - int((m < tau).sum())
+            np.testing.assert_array_equal(mask[tied], np.arange(len(tied)) >= need)
 
         # 5-epoch toy run: P u D = S and per-class balance at every epoch
         rng = np.random.default_rng(5)

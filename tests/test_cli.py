@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from protostudent.checkpoint import load_student
 from protostudent.cli import main
 from protostudent.config import ConfigError, RunConfig
 
@@ -202,6 +203,40 @@ class TestPipelineArtifacts:
         report = json.loads((root / "out" / "prune_report.json").read_text())
         assert report["k_before"] == 12 and report["k_after"] == 9
         assert (root / "out" / "student_pruned.ckpt").exists()
+
+
+class TestSettingsAboveTheirRange:
+    """A setting bounded by the loaded student or the test set exits 2 and
+    names its field, before any artifact is written; none is clamped."""
+
+    @pytest.mark.parametrize("command,argv,field", [
+        ("explain", ["--topk", "13"], "topk"),                     # K = 12
+        ("outlier-eval", ["--kprime", "1,13"], "kprime"),
+        ("outlier-eval", ["--kprime", "13,5"], "kprime"),
+        ("explain", ["--samples", "19"], "explain_samples"),       # 18 test images
+    ], ids=["topk", "kprime-last", "kprime-first", "explain_samples"])
+    def test_exit_2_names_field(self, pipeline, capsys, command, argv, field):
+        root, path = pipeline
+        before = _digests(root / "out")
+        assert main([command, "--config", str(path)] + argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"'{field}'" in err and len(err.splitlines()) == 1
+        assert _digests(root / "out") == before
+
+
+def test_prune_keeps_a_class_that_swaps_put_at_the_bottom(tmp_path):
+    """3 classes x 4 prototypes with p = 4 swaps one whole class per epoch,
+    so that class ranks lowest; a 0.34 prune (4 of 12) keeps one of it."""
+    path = write_config(tmp_path, n_per_class=20, n_test_per_class=4, image_size=16,
+                        encoder_blocks=[[8, 3, 2], [16, 3, 2]])
+    assert main(["train-teacher", "--config", str(path)]) == 0
+    for head in ["I", "II-A", "II-B", "III-A", "III-B", "III-C"]:
+        assert main(["train-student", "--config", str(path), "--head", head]) == 0
+        assert main(["prune", "--config", str(path), "--prune-fraction", "0.34"]) == 0
+        report = json.loads((tmp_path / "out" / "prune_report.json").read_text())
+        assert (report["k_before"], report["k_after"]) == (12, 8)
+        pruned = load_student(tmp_path / "out" / "student_pruned.ckpt")
+        assert sorted(set(pruned.store.labels.tolist())) == [0, 1, 2]
 
 
 class TestSweep:

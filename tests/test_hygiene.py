@@ -244,33 +244,62 @@ def test_file_write_checker_flags_writes_outside_the_writer():
 
 
 def name_occurrences(source: str) -> list:
-    """(line, name) of every identifier the source reads, imports or names
-    as a string constant (as when a tracer patches a function by name)."""
+    """(line, name, kind) of every identifier the source reads (kind
+    "name" bare, "attr" as an attribute), imports ("import") or names as a
+    string constant ("str", as when a tracer patches a function by name)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            found.append((node.lineno, node.id))
+            found.append((node.lineno, node.id, "name"))
         elif isinstance(node, ast.Attribute):
-            found.append((node.lineno, node.attr))
+            found.append((node.lineno, node.attr, "attr"))
         elif isinstance(node, ast.alias):
-            found.extend((node.lineno, part) for part in node.name.split("."))
+            found.extend((node.lineno, part, "import") for part in node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            found.append((node.lineno, node.value))
+            found.append((node.lineno, node.value, "str"))
     return found
 
 
+def module_reads(source: str, modules) -> set:
+    """(module, name) of every read that names a package module as the
+    owner: `alias.name` with `alias` bound to one of `modules` (`from .
+    import tensor as T`, `from protostudent import lrp`, `import
+    protostudent.lrp as X`), or `from .module import name`."""
+    tree = ast.parse(source)
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level and parts[0] != "protostudent":
+                continue   # not an import from the package
+            for alias in node.names:
+                if parts[-1] in modules:
+                    reads.add((parts[-1], alias.name))
+                elif alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            aliases.update((alias.asname, alias.name.split(".")[-1]) for alias in node.names
+                           if alias.asname and alias.name.startswith("protostudent."))
+    reads.update((aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in aliases)
+    return reads
+
+
 def definitions(source: str) -> list:
-    """(qualified name, name, first line, last line) of every top-level
-    function and class, and of every method that is not a dunder."""
+    """(qualified name, name, first line, last line, top-level function?)
+    of every top-level function and class, and of every method that is not
+    a dunder."""
     defs = []
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in ast.parse(source).body:
         if not isinstance(node, kinds):
             continue
-        defs.append((node.name, node.name, node.lineno, node.end_lineno))
+        defs.append((node.name, node.name, node.lineno, node.end_lineno,
+                     not isinstance(node, ast.ClassDef)))
         if isinstance(node, ast.ClassDef):
-            defs.extend((f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno)
+            defs.extend((f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno, False)
                         for item in node.body
                         if isinstance(item, kinds[:2]) and not
                         (item.name.startswith("__") and item.name.endswith("__")))
@@ -279,18 +308,32 @@ def definitions(source: str) -> list:
 
 def uncalled_definitions(library: dict, users: dict, entry_names=()) -> list:
     """(file, qualified name) of each definition in `library` (file name ->
-    source) whose name occurs nowhere in `library` or `users` outside its
-    own definition, and is not one of `entry_names`."""
-    places = {}
+    source) that nothing outside its own definition uses, and is not one of
+    `entry_names`.
+
+    A class or method is used when its name occurs anywhere else in
+    `library` or `users`. A top-level function is used only through a read
+    that names its module: `alias.name` with the alias bound to that
+    module, `from .module import name`, its bare name in its own module, or
+    a string constant. So `np.exp` does not count as a use of `tensor.exp`.
+    """
+    modules = {path.removesuffix(".py") for path in library}
+    places, reads = {}, set()
     for path, source in {**users, **library}.items():
-        for line, name in name_occurrences(source):
-            places.setdefault(name, []).append((path, line))
+        for line, name, kind in name_occurrences(source):
+            places.setdefault(name, []).append((path, line, kind))
+        reads |= module_reads(source, modules)
     missing = []
     for path, source in library.items():
-        for qualname, name, first, last in definitions(source):
-            if name not in entry_names and all(
-                    where == path and first <= line <= last
-                    for where, line in places.get(name, [])):
+        for qualname, name, first, last, function in definitions(source):
+            outside = [(where, kind) for where, line, kind in places.get(name, [])
+                       if not (where == path and first <= line <= last)]
+            if function:
+                used = (path.removesuffix(".py"), name) in reads or any(
+                    kind == "str" or (kind == "name" and where == path) for where, kind in outside)
+            else:
+                used = bool(outside)
+            if name not in entry_names and not used:
                 missing.append((path, qualname))
     return sorted(missing)
 
@@ -322,3 +365,20 @@ def test_caller_checker_flags_uncalled_definitions():
     users = {"bench.py": "import lib\nwrap(lib, 'patched')\n"}
     assert uncalled_definitions({"lib.py": lib}, users, {"main"}) == [
         ("lib.py", "Box"), ("lib.py", "Box.size"), ("lib.py", "recursive")]
+
+
+def test_caller_checker_resolves_the_owner_module():
+    """`np.exp` and `np.log` share names with `tensor.exp` and `tensor.log`
+    but read numpy; only `T.log` and the imported `sqrt` read the module."""
+    lib = {"tensor.py": ("def exp(t):\n    return t\n"
+                         "def log(t):\n    return t\n"
+                         "def sqrt(t):\n    return t\n"),
+           "losses.py": ("import numpy as np\n"
+                         "from . import tensor as T\n"
+                         "from .tensor import sqrt\n"
+                         "def loss(x):\n"
+                         "    return np.exp(x) + np.log(x) + T.log(x) + sqrt(x)\n")}
+    users = {"bench.py": "import numpy as np\nfrom protostudent import tensor\nnp.exp(1.0)\n"}
+    assert uncalled_definitions(lib, users, {"loss"}) == [("tensor.py", "exp")]
+    users["bench.py"] += "tensor.exp(1.0)\n"
+    assert uncalled_definitions(lib, users, {"loss"}) == []

@@ -9,8 +9,8 @@ from protostudent.encoder import TrainingError
 from protostudent.heads import head_forward, make_head
 from protostudent.losses import (LossWeights, aux_mask_loss, cross_entropy,
                                  j_from_record, total_loss)
-from protostudent.replacement import binary_mask, masked_logits, threshold
-from protostudent.tensor import Tensor
+from protostudent.replacement import lowest, masked_logits
+from protostudent.tensor import DimensionError, Tensor
 
 from conftest import micro_student
 from oracles import encode, grad_check
@@ -18,20 +18,27 @@ from oracles import encode, grad_check
 
 class TestCrossEntropy:
     def test_confident_correct_near_zero(self):
-        assert cross_entropy(0, np.array([50.0, -50.0])).data == pytest.approx(0.0, abs=1e-8)
+        assert cross_entropy([0], np.array([[50.0, -50.0]])).data == pytest.approx(0.0, abs=1e-8)
 
     def test_uniform_logits_log_c(self):
         for c in (2, 3, 10):
-            val = cross_entropy(1 % c, np.zeros(c)).data
+            val = cross_entropy([1 % c], np.zeros((1, c))).data
             assert val == pytest.approx(np.log(c), abs=1e-9)
 
     def test_soft_target_equal_to_softmax_gives_entropy(self):
         rng = np.random.default_rng(0)
-        logits = rng.standard_normal(5)
+        logits = rng.standard_normal((1, 5))
         with T.no_grad():
             p = T.softmax(Tensor(logits), axis=-1).data
         want = -(p * np.log(p)).sum()
         assert cross_entropy(p, logits).data == pytest.approx(want, abs=1e-9)
+
+    def test_vector_logits_rejected(self):
+        """Logits are a batch of rows; a vector is refused by name, for label
+        and soft targets alike."""
+        for targets in ([0], np.array([0.5, 0.5])):
+            with pytest.raises(DimensionError):
+                cross_entropy(targets, np.zeros(2))
 
     def test_batched_mean(self):
         logits = np.zeros((4, 3))
@@ -232,8 +239,8 @@ class TestObjectiveGradients:
             fx, fp = T.split_rows(feats, [2, k])
             student.store.features = fp
             logits, rec = head_forward(fx, student.store, student.head)
-            tau = threshold(student.store.m_weights.data, 1)
-            mask = binary_mask(student.store.m_weights.data, tau, 1)
+            mask = np.ones(k)
+            mask[lowest(student.store.m_weights.data, 1)] = 0.0
             y_mask = masked_logits(rec.z, mask, student.head)
             j = j_from_record(rec, labels, student.store.labels)
             total, _ = total_loss(labels, logits, y_teacher,

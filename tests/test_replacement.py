@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from protostudent import losses as L
@@ -13,12 +14,24 @@ from protostudent.heads import head_forward
 from protostudent.losses import LossWeights
 from protostudent.replacement import (ParameterError, PruningError,
                                       ReplacementConfig, ReplacementError,
-                                      binary_mask, finetune, init_store,
-                                      masked_logits, prune, threshold,
-                                      train_student)
+                                      finetune, init_store, lowest,
+                                      masked_logits, prune, train_student)
 from protostudent.tensor import Tensor
 
 from conftest import micro_student
+
+
+def threshold(m, p):
+    """The training log's tau: the p-th smallest m, last of the ranking."""
+    return m[lowest(m, p)[-1]]
+
+
+def binary_mask(m, p):
+    """The auxiliary mask as the step loop builds it: the p lowest-ranked
+    slots are 0, every other slot is 1."""
+    mask = np.ones(len(m))
+    mask[lowest(m, p)] = 0.0
+    return mask
 
 
 class TestThreshold:
@@ -32,25 +45,19 @@ class TestThreshold:
     def test_all_equal_degenerate(self):
         assert threshold(np.full(5, 0.7), 3) == pytest.approx(0.7)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ParameterError):
-            threshold(np.ones(4), 0)
-        with pytest.raises(ParameterError):
-            threshold(np.ones(4), 5)
-
 
 class TestBinaryMask:
     def test_hand_case(self):
         m = np.array([0.9, 0.1, 0.5, 0.2])
-        np.testing.assert_array_equal(binary_mask(m, threshold(m, 2), 2), [1, 0, 1, 0])
+        np.testing.assert_array_equal(binary_mask(m, 2), [1, 0, 1, 0])
 
     def test_tie_broken_by_lowest_index(self):
         m = np.array([0.3, 0.3, 0.7])
-        np.testing.assert_array_equal(binary_mask(m, threshold(m, 1), 1), [0, 1, 1])
+        np.testing.assert_array_equal(binary_mask(m, 1), [0, 1, 1])
 
     def test_p_is_k_minus_one_leaves_argmax(self):
         m = np.array([0.5, 2.0, 1.0, 0.7])
-        mask = binary_mask(m, threshold(m, 3), 3)
+        mask = binary_mask(m, 3)
         np.testing.assert_array_equal(mask, [0, 1, 0, 0])
 
     def test_exactly_p_zeros_1000_random_with_ties(self):
@@ -60,7 +67,7 @@ class TestBinaryMask:
             # quantize to force frequent ties
             m = np.round(rng.random(k) * 4) / 4
             p = int(rng.integers(1, k + 1))
-            mask = binary_mask(m, threshold(m, p), p)
+            mask = binary_mask(m, p)
             assert int((mask == 0).sum()) == p
             assert set(np.unique(mask)).issubset({0.0, 1.0})
             # every kept entry is >= every zeroed entry
@@ -398,12 +405,24 @@ class TestPrune:
             with pytest.raises(ParameterError):
                 prune(student, bad)
 
-    def test_class_elimination_rejected(self, tiny_teacher):
+    def test_keeps_last_prototype_of_each_class(self, tiny_teacher):
+        """With one whole class at the bottom of the ranking, the walk drops
+        all of it but its highest slot, then the next lowest of the rest."""
         (student, store, _), _, _ = self._trained(tiny_teacher)
-        # push one whole class to the bottom of the importance order
         student.store.m_weights.data[store.labels == 0] = -10.0
+        pruned = prune(student, 0.34)   # round(4.08) = 4 of K = 12
+        class0 = np.flatnonzero(store.labels == 0)
+        rest = [int(i) for i in lowest(store.m_weights.data, 12) if store.labels[i] != 0]
+        removed = set(store.ids.tolist()) - set(pruned.store.ids.tolist())
+        assert removed == {int(store.ids[i]) for i in [*class0[:3], rest[0]]}
+        assert set(pruned.store.labels.tolist()) == set(store.labels.tolist())
+
+    def test_count_above_k_minus_classes_rejected(self, tiny_teacher):
+        """K = 12 over 3 classes: dropping 9 leaves one per class, 10 cannot."""
+        (student, _, _), _, _ = self._trained(tiny_teacher)
+        assert sorted(prune(student, 0.75).store.labels.tolist()) == [0, 1, 2]
         with pytest.raises(PruningError):
-            prune(student, 0.34)
+            prune(student, 0.8)
 
     def test_finetune_runs_and_keeps_store(self, tiny_teacher):
         (student, store, _), imgs, labs = self._trained(tiny_teacher)
@@ -429,3 +448,39 @@ class TestPrune:
         for a, b in zip(ours.params + [ours.store.m_weights, ours.store.features],
                         ref.params + [ref.store.m_weights, ref.store.features]):
             np.testing.assert_array_equal(a.data, b.data)
+
+
+@st.composite
+def _prune_cases(draw):
+    """Importance weights with frequent ties, a class layout in which every
+    class holds at least one slot, and a prune count in [1, K)."""
+    k = draw(st.integers(2, 12))
+    classes = draw(st.integers(1, k))
+    labels = np.asarray(draw(st.permutations(
+        list(range(classes)) + draw(st.lists(st.integers(0, classes - 1),
+                                             min_size=k - classes, max_size=k - classes)))))
+    m = np.asarray(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=np.float64)
+    return labels, m, draw(st.integers(1, k - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_prune_cases())
+def test_prune_keeps_every_class_and_otherwise_drops_the_lowest(case):
+    """`prune` never removes a class, refuses only a count above K minus
+    the class count, and drops exactly the `drop` lowest-ranked slots
+    whenever those leave every class a prototype."""
+    labels, m, drop = case
+    k = len(labels)
+    student = micro_student("I", seed=drop, k=k, classes=int(labels.max()) + 1)
+    student.store.labels[:] = labels
+    student.store.m_weights.data[:] = m
+    if drop > k - len(set(labels.tolist())):
+        with pytest.raises(PruningError):
+            prune(student, drop / k)
+        return
+    kept = prune(student, drop / k).store
+    assert len(kept) == k - drop
+    assert set(kept.labels.tolist()) == set(labels.tolist())
+    lowest_kept = np.setdiff1d(np.arange(k), np.argsort(m, kind="stable")[:drop])
+    if set(labels[lowest_kept].tolist()) == set(labels.tolist()):
+        np.testing.assert_array_equal(kept.ids, lowest_kept)
