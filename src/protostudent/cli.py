@@ -34,11 +34,14 @@ def _write_json(path, obj):
     write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _datasets(cfg: RunConfig) -> tuple:
-    size = (cfg.image_size, cfg.image_size)
-    train = D.gen_dataset(cfg.seed, cfg.n_per_class, cfg.classes, size, cfg.dataset_family)
-    test = D.gen_dataset(cfg.seed + 1, cfg.n_test_per_class, cfg.classes, size, cfg.dataset_family)
-    return train, test
+def _train_set(cfg: RunConfig) -> D.SyntheticDataset:
+    return D.gen_dataset(cfg.seed, cfg.n_per_class, cfg.classes,
+                         (cfg.image_size, cfg.image_size), cfg.dataset_family)
+
+
+def _test_set(cfg: RunConfig) -> D.SyntheticDataset:
+    return D.gen_dataset(cfg.seed + 1, cfg.n_test_per_class, cfg.classes,
+                         (cfg.image_size, cfg.image_size), cfg.dataset_family)
 
 
 def _encoder_config(cfg: RunConfig) -> EncoderConfig:
@@ -72,7 +75,7 @@ def _out(cfg: RunConfig) -> Path:
 
 def cmd_train_teacher(cfg: RunConfig) -> int:
     out = _out(cfg)
-    train, test = _datasets(cfg)
+    train, test = _train_set(cfg), _test_set(cfg)
     teacher = train_teacher((train.images, train.labels), epochs=cfg.teacher_epochs,
                             lr=cfg.teacher_lr, seed=cfg.seed, batch_size=cfg.batch_size,
                             config=_encoder_config(cfg),
@@ -88,7 +91,7 @@ def cmd_train_teacher(cfg: RunConfig) -> int:
 
 def cmd_train_student(cfg: RunConfig) -> int:
     out = _out(cfg)
-    train, test = _datasets(cfg)
+    train, test = _train_set(cfg), _test_set(cfg)
     teacher = ckpt.load_teacher(out / "teacher.ckpt")
     weights = LossWeights(cfg.lambda1, cfg.lambda2, cfg.lambda3)
     student, store, log = train_student(teacher, (train.images, train.labels), cfg.head,
@@ -107,7 +110,7 @@ def cmd_train_student(cfg: RunConfig) -> int:
 
 def cmd_explain(cfg: RunConfig) -> int:
     out = _out(cfg)
-    _, test = _datasets(cfg)
+    test = _test_set(cfg)
     _at_most("explain_samples", cfg.explain_samples, len(test.images), "the test-set size")
     student = ckpt.load_student(out / "student.ckpt")
     _at_most("topk", cfg.topk, len(student.store), "the student's prototype count K")
@@ -139,7 +142,7 @@ def _outlier_images(cfg: RunConfig, test: D.SyntheticDataset) -> np.ndarray:
 
 def cmd_outlier_eval(cfg: RunConfig) -> int:
     out = _out(cfg)
-    _, test = _datasets(cfg)
+    test = _test_set(cfg)
     student = ckpt.load_student(out / "student.ckpt")
     # baseline predictor for max-probability scores: the teacher when
     # available, else the student itself
@@ -150,14 +153,12 @@ def cmd_outlier_eval(cfg: RunConfig) -> int:
     _at_most("kprime", max(cfg.kprime, default=k), k, "the student's prototype count K")
     outliers = _outlier_images(cfg, test)
     images = np.concatenate([test.images, outliers])
-    flags = [False] * len(test.images) + [True] * len(outliers)
+    labels = np.arange(len(images)) >= len(test.images)
     primary = int(cfg.kprime[-1] if len(cfg.kprime) else k)
-    reports = O.score_samples(student, images, primary, is_outlier=flags,
-                              baseline_model=baseline)
-    rows = "".join(f"{i},{'outlier' if rep.is_outlier else 'normal'},{rep.o!r},{rep.maxprob!r},"
+    reports = O.score_samples(student, images, primary, baseline_model=baseline)
+    rows = "".join(f"{i},{'outlier' if labels[i] else 'normal'},{rep.o!r},{rep.maxprob!r},"
                    f"{rep.predicted_class}\n" for i, rep in enumerate(reports))
     write_file(out / "outlier_scores.csv", ("sample_id,label,o,maxprob,pred_class\n" + rows).encode())
-    labels = np.asarray(flags)
     u_matrix = np.stack([rep.u for rep in reports])
     maxprob = np.asarray([rep.maxprob for rep in reports])
     summary = {
@@ -176,7 +177,7 @@ def cmd_outlier_eval(cfg: RunConfig) -> int:
 
 def cmd_perturb_eval(cfg: RunConfig) -> int:
     out = _out(cfg)
-    train, test = _datasets(cfg)
+    train, test = _train_set(cfg), _test_set(cfg)
     student = ckpt.load_student(out / "student.ckpt")
     params = _lrp_params(cfg)
     fill = train.images.mean(axis=(0, 2, 3))
@@ -199,7 +200,7 @@ def cmd_perturb_eval(cfg: RunConfig) -> int:
 
 def cmd_prune(cfg: RunConfig) -> int:
     out = _out(cfg)
-    train, test = _datasets(cfg)
+    train, test = _train_set(cfg), _test_set(cfg)
     student = ckpt.load_student(out / "student.ckpt")
     teacher = ckpt.load_teacher(out / "teacher.ckpt")
     acc_before = student.accuracy(test.images, test.labels)
@@ -221,7 +222,7 @@ def cmd_prune(cfg: RunConfig) -> int:
 
 def cmd_sweep_prototypes(cfg: RunConfig) -> int:
     out = _out(cfg)
-    train, test = _datasets(cfg)
+    train, test = _train_set(cfg), _test_set(cfg)
     teacher = ckpt.load_teacher(out / "teacher.ckpt")
     weights = LossWeights(cfg.lambda1, cfg.lambda2, cfg.lambda3)
     rows = []

@@ -16,6 +16,20 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+def _ints(v, size=None) -> bool:
+    return type(v) is list and all(type(x) is int for x in v) and size in (None, len(v))
+
+
+# what a field's value must be, by its annotated type (encoder_blocks by
+# name); `type(v) is int` refuses a bool, and a float field takes an int
+_TYPES = {"int": ("an integer", lambda v: type(v) is int),
+          "float": ("a number", lambda v: type(v) in (int, float)),
+          "str": ("a string", lambda v: type(v) is str),
+          "list": ("a list of integers", _ints),
+          "blocks": ("a list of [out_channels, kernel, stride] integer lists",
+                     lambda v: type(v) is list and all(_ints(b, 3) for b in v))}
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -64,6 +78,10 @@ class RunConfig:
 
     def validate(self):
         from .heads import HEAD_KINDS
+        for f in fields(self):
+            wanted, ok = _TYPES["blocks" if f.name == "encoder_blocks" else f.type]
+            if not ok(getattr(self, f.name)):
+                raise ConfigError(f.name, f"must be {wanted}")
         if self.head not in HEAD_KINDS:
             raise ConfigError("head", f"must be one of {', '.join(HEAD_KINDS)}")
         if self.classes < 2:
@@ -83,15 +101,15 @@ class RunConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be nonnegative")
-        for name in ("topk", "batch_size"):
+        for name in ("topk", "batch_size", "region"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
-        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs"):
+        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs", "steps"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        for k in self.kprime:
-            if not 1 <= int(k):
-                raise ConfigError("kprime", "entries must be >= 1")
+        for name in ("kprime", "sweep"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(name, "entries must be >= 1")
         if self.image_size % self.region:
             raise ConfigError("region", "must divide image_size")
         return self

@@ -186,15 +186,14 @@ def gen_strokes(img: np.ndarray, thickness: int = STROKE_THICKNESS,
     return out
 
 
-def gen_altered_color(img: np.ndarray, seed: int = 0, s_min: float = SAT_FLOOR,
-                      v_min: float = VAL_FLOOR, hue_delta=HUE_DELTA_RANGE) -> np.ndarray:
-    """Force minimum saturation/value and rotate the hue by a random
-    offset drawn from hue_delta."""
+def gen_altered_color(img: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Force saturation and value up to SAT_FLOOR and VAL_FLOOR and rotate
+    the hue by a random offset drawn from HUE_DELTA_RANGE."""
     hsv = rgb_to_hsv(np.asarray(img, dtype=np.float64))
     rng = np.random.default_rng([seed, 0x5C])
-    delta = rng.uniform(*hue_delta) if hue_delta[1] > hue_delta[0] else hue_delta[0]
-    hsv[1] = np.maximum(hsv[1], s_min)
-    hsv[2] = np.maximum(hsv[2], v_min)
+    delta = rng.uniform(*HUE_DELTA_RANGE)
+    hsv[1] = np.maximum(hsv[1], SAT_FLOOR)
+    hsv[2] = np.maximum(hsv[2], VAL_FLOOR)
     hsv[0] = (hsv[0] + delta) % 1.0
     return np.clip(hsv_to_rgb(hsv), 0.0, 1.0)
 

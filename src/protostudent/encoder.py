@@ -57,7 +57,7 @@ class EncoderConfig:
 
 
 class Encoder:
-    """Conv/ReLU stack mapping [C0,H0,W0] images to [C,H,W] features."""
+    """Conv/ReLU stack mapping images [N,C0,H0,W0] to features [N,C,H,W]."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
@@ -100,17 +100,16 @@ class Encoder:
     def forward(self, x: Tensor) -> Tensor:
         return self._run(x)
 
-    def forward_recorded(self, image: np.ndarray) -> tuple:
-        """Forward one image [C0,H0,W0] or a batch [N,C0,H0,W0] collecting
-        per-block inputs for relevance propagation. Returns (features, records):
-        features are [C,H,W] for one image and [N,C,H,W] for a batch, and
-        each record's "input" has the matching [..., C_in, H_in, W_in] shape.
-        Batch rows equal what one-image calls give. Each block runs the
-        fused conv+bias+ReLU, clamped in place tile by tile, so a record's
-        "input" is the previous block's post-activation map itself."""
+    def forward_recorded(self, images: np.ndarray) -> tuple:
+        """Forward a batch [N,C0,H0,W0] collecting per-block inputs for
+        relevance propagation. Returns (features [N,C,H,W], records), each
+        record's "input" an [N,C_in,H_in,W_in] map. Each row equals what a
+        batch of that one image gives. Each block runs the fused
+        conv+bias+ReLU, clamped in place tile by tile, so a record's "input"
+        is the previous block's post-activation map itself."""
         records = []
         with T.no_grad():
-            feats = self._run(Tensor(image), records)
+            feats = self._run(Tensor(images), records)
         return feats.data, records
 
 

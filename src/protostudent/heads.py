@@ -131,15 +131,10 @@ def _squared_column_norms(fh: Tensor) -> Tensor:
 def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
     """Run one head over a batch of feature maps against every prototype.
 
-    Returns (logits [B, class_count], SimilarityRecord). x_features may be
-    [C,H,W] or [B,C,H,W]; prototype features come from store.features.
+    Returns (logits [B, class_count], SimilarityRecord). x_features is a
+    batch [B,C,H,W]; prototype features [K,C,H,W] come from store.features.
     """
-    fx = x_features if isinstance(x_features, Tensor) else Tensor(np.asarray(x_features, dtype=np.float64))
-    if fx.ndim == 3:
-        fx = T.reshape(fx, (1, *fx.shape))
-    fp = store.features
-    if not isinstance(fp, Tensor):
-        fp = Tensor(np.asarray(fp, dtype=np.float64))
+    fx, fp = x_features, store.features
     if fx.shape[1:] != fp.shape[1:]:
         raise ConfigurationError(f"feature shape mismatch: input {fx.shape[1:]}, prototypes {fp.shape[1:]}")
     k = fp.shape[0]

@@ -41,21 +41,17 @@ def cross_entropy(targets, logits) -> Tensor:
     any finite logits (the role of the eps-inside-log guard) without the
     gradient saturation an additive guard would cause.
 
-    logits are [B, classes]; targets may be an integer label array, or a
-    probability matrix summing to 1 per row.
+    logits are a Tensor [B, classes]; targets are an integer label array
+    [B], or a probability matrix [B, classes] summing to 1 per row.
     """
-    logits = logits if isinstance(logits, Tensor) else Tensor(np.asarray(logits, dtype=np.float64))
     if logits.ndim != 2:
         raise DimensionError(f"cross_entropy needs logits [B, classes], got {logits.shape}")
     logp = T.log_softmax(logits, axis=-1)
-    tarr = np.asarray(targets.data if isinstance(targets, Tensor) else targets)
-    if np.issubdtype(tarr.dtype, np.integer):
-        labels = np.atleast_1d(tarr).astype(np.int64)
-        picked = T.take_flat(logp, np.ravel_multi_index((np.arange(logits.shape[0]), labels),
+    if np.issubdtype(targets.dtype, np.integer):
+        picked = T.take_flat(logp, np.ravel_multi_index((np.arange(logits.shape[0]), targets),
                                                         logp.shape))
         return -T.tmean(picked)
-    tarr = np.atleast_2d(tarr.astype(np.float64))
-    return -T.tmean(T.tsum(T.mul(Tensor(tarr), logp), axis=-1))
+    return -T.tmean(T.tsum(T.mul(Tensor(targets), logp), axis=-1))
 
 
 def aux_mask_loss(y_pred, y_mask) -> Tensor:
@@ -126,15 +122,15 @@ def j_from_record(rec: H.SimilarityRecord, labels_x, labels_p) -> Tensor:
 def total_loss(y_true, y, y_teacher, y_pred, y_mask, j_value, weights: LossWeights) -> tuple:
     """Supervised CE + distillation CE + masked-output CE + distance term.
 
-    Returns (total Tensor, {term: float}). Raises TrainingError naming the
-    first non-finite component.
+    y and y_mask are logit Tensors, y_teacher the teacher's logit array and
+    j_value the distance Tensor. Returns (total Tensor, {term: float}).
+    Raises TrainingError naming the first non-finite component.
     """
     with T.no_grad():
-        soft = T.softmax(y_teacher if isinstance(y_teacher, Tensor) else Tensor(np.asarray(y_teacher, dtype=np.float64)), axis=-1)
+        soft = T.softmax(Tensor(y_teacher), axis=-1)
     l_sup = cross_entropy(y_true, y)
     l_dist = cross_entropy(soft.data, y)
     l_aux = aux_mask_loss(y_pred, y_mask)
-    j_value = j_value if isinstance(j_value, Tensor) else Tensor(float(j_value))
     parts = {"supervised": l_sup, "distill": l_dist, "aux_mask": l_aux, "distance": j_value}
     for name, part in parts.items():
         if not np.isfinite(part.data).all():

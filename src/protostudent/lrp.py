@@ -80,20 +80,19 @@ class RelevancePair:
 
 def _stab(z, eps: float):
     """z + eps*sign(z) with sign(0) = +1."""
-    return z + eps * np.where(np.asarray(z) >= 0, 1.0, -1.0)
+    return z + eps * np.where(z >= 0, 1.0, -1.0)
 
 
 def _safe_ratio(num, den):
-    den = np.asarray(den, dtype=np.float64)
     ok = den != 0.0
-    return np.where(ok, np.asarray(num, dtype=np.float64) / np.where(ok, den, 1.0), 0.0)
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
 def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarray,
                        params: LrpParams, stride: int, pad: int) -> np.ndarray:
-    """Alpha/beta rule through one conv layer, for one sample a [C,H,W]
-    with r_out [F,H2,W2] or a batch a [N,C,H,W] with r_out [N,F,H2,W2],
-    and a kernel [F,C,kh,kw]; other shapes raise DimensionError.
+    """Alpha/beta rule through one conv layer, for a batch a [N,C,H,W]
+    with r_out [N,F,H2,W2] and a kernel [F,C,kh,kw]; other shapes raise
+    DimensionError.
 
     Positive and negative pre-activation contributions are normalized
     separately; bias halves join their respective pools. All-zero pools
@@ -105,23 +104,15 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
     Dropping terms that are all +-0 leaves every nonzero value unchanged;
     a signed input keeps all four GEMMs.
     """
-    a = np.asarray(a, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    r_out = np.asarray(r_out, dtype=np.float64)
-    a_shape = a.shape
-    if a.ndim not in (3, 4) or kernel.ndim != 4 or kernel.shape[1] != a_shape[-3]:
-        raise DimensionError(f"alpha/beta conv needs a [C,H,W] or [N,C,H,W] input and an "
-                             f"[F,C,kh,kw] kernel, got {a_shape} and {kernel.shape}")
-    squeeze = a.ndim == 3
-    if squeeze:
-        a = a[None]
+    if a.ndim != 4 or kernel.ndim != 4 or kernel.shape[1] != a.shape[1]:
+        raise DimensionError(f"alpha/beta conv needs an [N,C,H,W] input and an "
+                             f"[F,C,kh,kw] kernel, got {a.shape} and {kernel.shape}")
     n, c, h, w = a.shape
     f, _, kh, kw = kernel.shape
     idx, hp, wp, h2, w2 = _im2col_plan(c, h, w, kh, kw, stride, pad)
-    expected = (f, h2, w2) if squeeze else (n, f, h2, w2)
-    if r_out.shape != expected:
-        raise DimensionError(f"r_out {r_out.shape} does not match the conv output {expected} "
-                             f"of input {a_shape} and kernel {kernel.shape}")
+    if r_out.shape != (n, f, h2, w2):
+        raise DimensionError(f"r_out {r_out.shape} does not match the conv output "
+                             f"{(n, f, h2, w2)} of input {a.shape} and kernel {kernel.shape}")
     ap = np.zeros((n, c, hp, wp))
     ap[:, :, pad:pad + h, pad:pad + w] = a
     cols = np.take(ap.reshape(n, c * hp * wp), idx, axis=1)   # [N, M, L]
@@ -137,7 +128,6 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
         pos_tot = kp @ cp
         neg_tot = kn @ cp
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
         pos_tot += np.maximum(bias, 0.0)[:, None]
         neg_tot += np.minimum(bias, 0.0)[:, None]
     r2 = r_out.reshape(n, f, h2 * w2)
@@ -153,14 +143,13 @@ def lrp_conv_alphabeta(a: np.ndarray, kernel: np.ndarray, bias, r_out: np.ndarra
         r_cols += cn * (kn.T @ fac_pos - kp.T @ fac_neg)
     r_pad = np.zeros((n, c, hp, wp))
     _col2im_add(r_pad, r_cols, kh, kw, stride)
-    r_in = r_pad[:, :, pad:hp - pad, pad:wp - pad] if pad else r_pad
-    return r_in[0] if squeeze else r_in
+    return r_pad[:, :, pad:hp - pad, pad:wp - pad] if pad else r_pad
 
 
 def encoder_lrp(records: list, r_features: np.ndarray, params: LrpParams) -> np.ndarray:
     """Walk the recorded conv blocks backwards down to pixel space. ReLU
-    boundaries pass relevance through unchanged. r_features is [C,H,W] or
-    a batch [N,C,H,W] matching the records' inputs."""
+    boundaries pass relevance through unchanged. r_features is a batch
+    [N,C,H,W] matching the records' inputs."""
     r = r_features
     for rec in reversed(records):
         r = lrp_conv_alphabeta(rec["input"], rec["kernel"], rec["bias"], r,
@@ -305,8 +294,6 @@ def _pairs(student: StudentModel, images: np.ndarray, ks: list,
             raise PropagationError(f"prototype index {k} out of range")
     if not kp.size:
         return [[] for _ in ks]
-    if store.features is None:
-        student.refresh_store_features()
     n = len(images)
     ix = np.repeat(np.arange(n), [len(row) for row in ks])
     protos, slot = np.unique(kp, return_inverse=True)

@@ -29,7 +29,6 @@ class OutlierReport:
     o: float
     predicted_class: int
     maxprob: float
-    is_outlier: bool | None = None
 
 
 def spatial_sim_map(rec: SimilarityRecord) -> np.ndarray:
@@ -67,7 +66,6 @@ def u_from_record(rec: SimilarityRecord) -> np.ndarray:
 
 def outlier_score(u: np.ndarray, k_prime: int) -> float:
     """1 - mean of the k' largest similarity scores (class-agnostic)."""
-    u = np.asarray(u, dtype=np.float64)
     if not 1 <= k_prime <= len(u):
         raise ParameterError(f"k'={k_prime} out of range for K={len(u)}")
     top = np.sort(u)[::-1][:k_prime]
@@ -75,15 +73,13 @@ def outlier_score(u: np.ndarray, k_prime: int) -> float:
 
 
 def maxprob_score(model, images: np.ndarray) -> np.ndarray:
-    """Negative probability of the predicted class; higher is more
-    anomalous. Works on any model exposing predict_logits."""
-    arr = np.asarray(images, dtype=np.float64)
-    squeeze = arr.ndim == 3
-    logits = model.predict_logits(arr[None] if squeeze else arr)
+    """Negative probability of the predicted class per image of a batch
+    [N,C,H,W]; higher is more anomalous. Works on any model exposing
+    predict_logits."""
+    logits = model.predict_logits(images)
     with T.no_grad():
         probs = T.softmax(Tensor(logits), axis=-1).data
-    scores = -probs.max(axis=-1)
-    return float(scores[0]) if squeeze else scores
+    return -probs.max(axis=-1)
 
 
 def auc(scores, labels) -> float:
@@ -112,16 +108,13 @@ def auc(scores, labels) -> float:
 
 
 def score_samples(student: StudentModel, images: np.ndarray, k_prime: int,
-                  is_outlier=None, batch_size: int = 128,
-                  baseline_model=None) -> list:
+                  batch_size: int = 128, baseline_model=None) -> list:
     """OutlierReport per image, evaluated in deterministic batches.
 
     The baseline max-probability score comes from baseline_model when
     given (typically the teacher, the non-prototype reference predictor),
     otherwise from the student itself.
     """
-    images = np.asarray(images, dtype=np.float64)
-    flags = [None] * len(images) if is_outlier is None else list(is_outlier)
     reports = []
     for start in range(0, len(images), batch_size):
         chunk = images[start:start + batch_size]
@@ -132,6 +125,5 @@ def score_samples(student: StudentModel, images: np.ndarray, k_prime: int,
         for i in range(len(chunk)):
             reports.append(OutlierReport(u=u_all[i], o=outlier_score(u_all[i], k_prime),
                                          predicted_class=int(preds[i]),
-                                         maxprob=float(base[i]),
-                                         is_outlier=flags[start + i]))
+                                         maxprob=float(base[i])))
     return reports

@@ -54,7 +54,6 @@ def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
     carry precomputed input-side heatmaps (top-1 prototype pair per
     sample) to share between policies.
     """
-    images = np.asarray(images, dtype=np.float64)
     n, c, h, w = images.shape
     if h % region or w % region:
         raise ConfigurationError(f"region {region} does not divide image size {h}x{w}")
@@ -63,7 +62,7 @@ def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
         raise ConfigurationError(f"steps {steps} exceeds tile count {n_tiles}")
     if policy not in ("relevance", "random"):
         raise ConfigurationError(f"unknown policy {policy!r}")
-    fill = images.mean(axis=(0, 2, 3)) if fill is None else np.asarray(fill, dtype=np.float64)
+    fill = images.mean(axis=(0, 2, 3)) if fill is None else fill
 
     logits0, _ = student.forward(images)
     preds = logits0.data.argmax(axis=1)
@@ -94,5 +93,4 @@ def top1_heatmaps(student: StudentModel, images: np.ndarray,
                   params: LrpParams | None = None) -> list:
     """Input-side heatmap against the highest-similarity prototype for
     each sample."""
-    return [pairs[0].heat_input
-            for pairs in explain(student, np.asarray(images, dtype=np.float64), 1, params)]
+    return [pairs[0].heat_input for pairs in explain(student, images, 1, params)]

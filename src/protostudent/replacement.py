@@ -93,8 +93,6 @@ def masked_logits(z: Tensor, mask: np.ndarray, model: HeadModel) -> Tensor:
     locally constant in the importance weights away from ties, so its
     exact derivative there is zero and no gradient reaches them.
     """
-    z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=np.float64))
-    mask = np.asarray(mask, dtype=np.float64)
     if mask.shape[0] != z.shape[-1]:
         raise DimensionError(f"mask length {mask.shape[0]} != prototype count {z.shape[-1]}")
     return T.linear(T.mul(z, mask), model.w, model.b)
@@ -189,10 +187,8 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
         n_iters = iterations if iterations is not None else \
             (len(d_ids) + config.batch_size - 1) // config.batch_size
         for it in range(n_iters):
-            lo = (it * config.batch_size) % max(len(d_ids), 1)
+            lo = (it * config.batch_size) % len(d_ids)
             batch = d_ids[order[lo:lo + config.batch_size]]
-            if len(batch) == 0:
-                continue
             new = batch[~known[batch]]
             if len(new):
                 with T.no_grad():
@@ -224,7 +220,7 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
                                 **parts, "tau": tau, "replaced": []})
             # free this step's graph, and the conv columns it keeps, before
             # the next step's forward
-            store.features = fp.data
+            store.features = None
             del feats, fx, fp, y, rec, y_mask, j_val, total
             step += 1
         if p > 0:

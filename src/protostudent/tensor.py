@@ -254,24 +254,21 @@ def take_flat(t, flat_idx: np.ndarray) -> Tensor:
 
 # -- reductions -----------------------------------------------------------
 
-def tsum(t, axis=None, keepdims=False) -> Tensor:
+def tsum(t, axis=None) -> Tensor:
     t = _as_tensor(t)
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+    out = t.data.sum(axis=axis)
 
     def bw(g):
-        if axis is None:
-            _accum(t, np.broadcast_to(g, t.shape).copy() if np.ndim(g) else np.full(t.shape, g))
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accum(t, np.broadcast_to(gg, t.shape).copy())
 
     return _node(out, (t,), bw)
 
 
-def tmean(t, axis=None, keepdims=False) -> Tensor:
+def tmean(t, axis=None) -> Tensor:
     t = _as_tensor(t)
     n = t.data.size if axis is None else np.prod([t.shape[a] for a in np.atleast_1d(axis)])
-    return mul(tsum(t, axis, keepdims), 1.0 / float(n))
+    return mul(tsum(t, axis), 1.0 / float(n))
 
 
 def tmax(t, axis, keepdims=False) -> Tensor:
@@ -570,11 +567,11 @@ def l2_normalize(t, axis, eps: float = EPS_NORM) -> Tensor:
 
 
 def avgpool_spatial(t) -> Tensor:
-    """Spatial average pooling: [C,H,W] -> [C] or [N,C,H,W] -> [N,C]."""
+    """Spatial average pooling of a batch: [N,C,H,W] -> [N,C]."""
     t = _as_tensor(t)
-    if t.ndim not in (3, 4):
-        raise DimensionError(f"avgpool_spatial expects 3 or 4 dims, got {t.shape}")
-    return tmean(t, axis=(t.ndim - 2, t.ndim - 1))
+    if t.ndim != 4:
+        raise DimensionError(f"avgpool_spatial expects [N,C,H,W], got {t.shape}")
+    return tmean(t, axis=(2, 3))
 
 
 # -- convolution ----------------------------------------------------------
@@ -647,7 +644,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
            relu: bool = False) -> Tensor:
     """2-D cross-correlation, with an optional ReLU epilogue.
 
-    x: [C,H,W] or [N,C,H,W]; kernel: [F,C,kh,kw]; bias: [F] or None.
+    x: [N,C,H,W]; kernel: [F,C,kh,kw]; bias: [F] or None.
     Output spatial extents follow floor((H + 2*pad - kh)/stride) + 1.
 
     The batch is processed in tiles whose im2col columns fit _TILE_BYTES.
@@ -668,11 +665,9 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if stride < 1:
         raise DimensionError("stride must be >= 1")
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernel.ndim != 4:
+    if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(f"conv2d expects [N,C,H,W] and [F,C,kh,kw], got {x.shape}, {kernel.shape}")
-    n, c, h, w = xd.shape
+    n, c, h, w = x.shape
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {c}, kernel {ck}")
@@ -689,7 +684,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
     for s in range(0, n, tile):
         e = min(n, s + tile)
         ct = cols[s:e] if keep else cols[:e - s]
-        xp[:e - s, :, pad:pad + h, pad:pad + w] = xd[s:e]
+        xp[:e - s, :, pad:pad + h, pad:pad + w] = x.data[s:e]
         # every index is in range; mode="clip" lets take write into `ct`
         # directly, where the default mode would buffer
         np.take(xp[:e - s].reshape(e - s, -1), idx, axis=1, out=ct, mode="clip")
@@ -699,13 +694,12 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
         if relu:
             np.maximum(out[s:e], 0.0, out=out[s:e])
     out = out.reshape(n, f, h2, w2)
-    y = out[0] if squeeze else out
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(g):
         if relu:
-            g = g * (y > 0.0)
-        g2 = (g[None] if squeeze else g).reshape(n, f, l)
+            g = g * (out > 0.0)
+        g2 = g.reshape(n, f, l)
         if keep:
             dk = np.zeros((f, m))
             for s in range(0, n, tile):
@@ -718,6 +712,6 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
             for s in range(0, n, tile):
                 _col2im_add(dxp[s:s + tile], np.matmul(k2.T, g2[s:s + tile]), kh, kw, stride)
             dx = dxp[:, :, pad:hp - pad, pad:wp - pad] if pad else dxp
-            _accum(x, dx[0] if squeeze else dx)
+            _accum(x, dx)
 
-    return _node(y, parents, bw)
+    return _node(out, parents, bw)

@@ -49,7 +49,7 @@ def l2_normalize_channels(t, eps: float = T.EPS_NORM) -> Tensor:
 
 
 def encode(encoder, images) -> np.ndarray:
-    """Feature maps of one image [C0,H0,W0] or a batch, without a graph."""
+    """Feature maps of a batch [N,C0,H0,W0], without a graph."""
     with T.no_grad():
         return encoder.forward(Tensor(np.asarray(images, dtype=np.float64))).data
 

@@ -224,6 +224,33 @@ class TestSettingsAboveTheirRange:
         assert _digests(root / "out") == before
 
 
+class TestBadConfigValues:
+    """A config value of the wrong type or below its range exits 2, names
+    its field on one stderr line and writes nothing, in the command that
+    reads it."""
+
+    @pytest.mark.parametrize("command,field,bad", [
+        ("perturb-eval", "region", 0),
+        ("perturb-eval", "region", -4),
+        ("train-student", "epochs", "3"),
+        ("outlier-eval", "kprime", 5),
+        ("train-teacher", "classes", 2.5),
+        ("train-teacher", "seed", None),
+        ("train-teacher", "encoder_blocks", [[8, 3]]),
+        ("perturb-eval", "steps", -1),
+    ], ids=["region-0", "region-negative", "epochs-string", "kprime-int", "classes-float",
+            "seed-null", "encoder_blocks-two-ints", "steps-negative"])
+    def test_exit_2_names_field(self, pipeline, capsys, command, field, bad):
+        root, _ = pipeline
+        path = root / f"bad_{field}.json"
+        path.write_text(json.dumps(tiny_config(root / "out", **{field: bad})))
+        before = _digests(root / "out")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"'{field}'" in err and len(err.splitlines()) == 1
+        assert _digests(root / "out") == before
+
+
 def test_prune_keeps_a_class_that_swaps_put_at_the_bottom(tmp_path):
     """3 classes x 4 prototypes with p = 4 swaps one whole class per epoch,
     so that class ranks lowest; a 0.34 prune (4 of 12) keeps one of it."""

@@ -33,24 +33,24 @@ class TestEncoder:
     def test_default_encode_shape(self):
         enc = Encoder(EncoderConfig(), seed=0)
         rng = np.random.default_rng(0)
-        assert encode(enc, rng.random((3, 32, 32))).shape == (64, 4, 4)
+        assert encode(enc, rng.random((2, 3, 32, 32))).shape == (2, 64, 4, 4)
 
     def test_zero_image_zero_features_at_init(self):
         # biases start at zero, so an all-zero image propagates to zero
         enc = Encoder(SMALL, seed=1)
-        feats = encode(enc, np.zeros((3, 8, 8)))
+        feats = encode(enc, np.zeros((1, 3, 8, 8)))
         np.testing.assert_array_equal(feats, 0.0)
 
     def test_deterministic_encode(self):
         enc = Encoder(SMALL, seed=2)
-        img = np.random.default_rng(3).random((3, 8, 8))
+        img = np.random.default_rng(3).random((1, 3, 8, 8))
         np.testing.assert_array_equal(encode(enc, img), encode(enc, img.copy()))
 
     def test_nonnegative_output(self):
         enc = Encoder(SMALL, seed=4)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            assert (encode(enc, rng.random((3, 8, 8))) >= 0).all()
+            assert (encode(enc, rng.random((1, 3, 8, 8))) >= 0).all()
 
     @pytest.mark.parametrize("config", [SMALL, EncoderConfig()], ids=["small", "default"])
     def test_recorded_block_inputs_nonnegative(self, config):
@@ -120,13 +120,18 @@ class TestEncoder:
                 a = np.maximum(T.conv2d(Tensor(a), kern, bias, stride=stride, pad=k // 2).data, 0.0)
         assert np.array_equal(feats, a)
 
+    def test_recorded_forward_rejects_single_image(self):
+        enc = Encoder(SMALL, seed=6)
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            enc.forward_recorded(np.zeros((3, 8, 8)))
+
     def test_too_small_feature_map_rejected(self):
         with pytest.raises(DimensionError):
             EncoderConfig(in_channels=3, blocks=((4, 3, 2),) * 3, input_size=(8, 8))
 
     def test_recorded_forward_matches_encode(self):
         enc = Encoder(SMALL, seed=6)
-        img = np.random.default_rng(7).random((3, 8, 8))
+        img = np.random.default_rng(7).random((1, 3, 8, 8))
         feats, records = enc.forward_recorded(img)
         np.testing.assert_allclose(feats, encode(enc, img), atol=0)
         assert len(records) == len(SMALL.blocks)
@@ -135,17 +140,18 @@ class TestEncoder:
                              ids=["small", "default-across-conv-tiles"])
     def test_recorded_forward_batch_matches_single_calls(self, config, n):
         """A batch gives, image for image, the features and record inputs
-        of one-image calls; 11 default-size images span two conv2d tiles."""
+        of calls on a batch of one; 11 default-size images span two conv2d
+        tiles."""
         enc = Encoder(config, seed=8)
         imgs = np.random.default_rng(9).random((n, config.in_channels, *config.input_size))
         feats, records = enc.forward_recorded(imgs)
         assert feats.shape == (n, *config.feature_shape())
         for i, img in enumerate(imgs):
-            one_feats, one_records = enc.forward_recorded(img)
-            np.testing.assert_array_equal(feats[i], one_feats)
+            one_feats, one_records = enc.forward_recorded(img[None])
+            np.testing.assert_array_equal(feats[i], one_feats[0])
             for rec, one in zip(records, one_records):
-                assert rec["input"].shape == (n, *one["input"].shape)
-                np.testing.assert_array_equal(rec["input"][i], one["input"])
+                assert rec["input"].shape == (n, *one["input"].shape[1:])
+                np.testing.assert_array_equal(rec["input"][i], one["input"][0])
                 assert (rec["stride"], rec["pad"]) == (one["stride"], one["pad"])
 
 

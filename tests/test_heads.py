@@ -213,10 +213,10 @@ class TestHeadForward:
         rng = np.random.default_rng(4)
         x = rng.random((1, 2, 4, 4))
         logits, rec = student.forward(x)
-        fx = encode(student.encoder, x[0])
+        fx = encode(student.encoder, x)[0]
         want_z = []
         for k in range(2):
-            fp = encode(student.encoder, student.store.images[k])
+            fp = encode(student.encoder, student.store.images[k:k + 1])[0]
             want_z.append(cosine_map_loops(fx, fp).mean())
         np.testing.assert_allclose(rec.z.data[0], want_z, atol=1e-12)
         want_logits = student.head.w.data @ np.asarray(want_z) + student.head.b.data
@@ -250,6 +250,13 @@ class TestHeadForward:
         rng = np.random.default_rng(8)
         with pytest.raises(ConfigurationError):
             student.forward(rng.random((1, 2, 4, 4)))
+
+    def test_single_feature_map_rejected(self, head_kind):
+        """Input features are a batch [B,C,H,W]; one map [C,H,W] is refused."""
+        student = micro_student(head_kind, seed=7)
+        fx = encode(student.encoder, np.random.default_rng(8).random((1, 2, 4, 4)))[0]
+        with pytest.raises(ConfigurationError, match="feature shape mismatch"):
+            head_forward(Tensor(fx), student.store, student.head)
 
     def test_z_values_in_unit_interval_heads_i_ii(self):
         rng = np.random.default_rng(9)

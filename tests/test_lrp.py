@@ -131,13 +131,14 @@ class TestConvAlphaBeta:
         for i in range(n):
             want = alphabeta_oracle(a[i], kernel, bias, r_out[i], params, stride, pad)
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
-            one = lrp_conv_alphabeta(a[i], kernel, bias, r_out[i], params, stride, pad)
-            np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+            one = lrp_conv_alphabeta(a[i:i + 1], kernel, bias, r_out[i:i + 1], params,
+                                     stride, pad)
+            np.testing.assert_allclose(one[0], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("a_shape,k_shape,r_shape,culprit", [
-        ((2, 4, 4), (4, 2, 3, 3), (2, 4, 4, 4), "r"),      # two samples' relevance, one input
-        ((1, 2, 4, 4), (4, 2, 3, 3), (2, 4, 4, 4), "r"),
-        ((2, 4, 4), (4, 3, 3, 3), (4, 4, 4), "k"),         # kernel channels differ
+        ((2, 2, 4, 4), (4, 2, 3, 3), (1, 4, 4, 4), "r"),   # one sample's relevance, two inputs
+        ((1, 2, 4, 4), (4, 2, 3, 3), (2, 4, 4, 4), "r"),   # two samples' relevance, one input
+        ((1, 2, 4, 4), (4, 3, 3, 3), (1, 4, 4, 4), "k"),   # kernel channels differ
         ((4, 4), (4, 2, 3, 3), (4, 4, 4), "k"),            # no channel axis
     ])
     def test_shape_mismatch_names_the_shapes(self, a_shape, k_shape, r_shape, culprit):
@@ -148,9 +149,16 @@ class TestConvAlphaBeta:
         assert str(a_shape) in str(err.value)
         assert str(r_shape if culprit == "r" else k_shape) in str(err.value)
 
+    def test_rejects_single_image(self):
+        """The input is a batch [N,C,H,W]; one image [C,H,W] with its
+        relevance [F,H2,W2] is refused."""
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            lrp_conv_alphabeta(np.ones((2, 4, 4)), np.ones((3, 2, 3, 3)), None,
+                               np.ones((3, 4, 4)), LrpParams(), stride=1, pad=1)
+
     def test_all_positive_exact_conservation(self):
         rng = np.random.default_rng(1)
-        a = rng.random((2, 3, 3)) + 0.1
+        a = rng.random((1, 2, 3, 3)) + 0.1
         k = rng.random((3, 2, 2, 2)) + 0.1
         with T.no_grad():
             out = T.conv2d(Tensor(a), Tensor(k)).data
@@ -160,20 +168,20 @@ class TestConvAlphaBeta:
 
     def test_alpha_one_uses_positive_parts_only(self):
         rng = np.random.default_rng(2)
-        a = rng.random((1, 2, 2))
+        a = rng.random((1, 1, 2, 2))
         k = rng.standard_normal((1, 1, 2, 2))
-        r_out = np.ones((1, 1, 1))
+        r_out = np.ones((1, 1, 1, 1))
         r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(1.0, 0.0, 0.0), 1, 0)
-        contrib = a[0] * k[0, 0]
+        contrib = a[0, 0] * k[0, 0]
         pos = np.maximum(contrib, 0)
         want = pos / pos.sum() if pos.sum() > 0 else np.zeros_like(pos)
-        np.testing.assert_allclose(r_in[0], want, atol=1e-12)
+        np.testing.assert_allclose(r_in[0, 0], want, atol=1e-12)
 
     def test_matches_dense_layer_expansion(self):
         """Conv relevance equals the epsilon-free alpha/beta rule on the
         hand-expanded im2col matrix."""
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((1, 2, 2))
+        a = rng.standard_normal((1, 1, 2, 2))
         k = rng.standard_normal((2, 1, 2, 2))
         params = LrpParams(1.7, 0.7, 0.0)
         with T.no_grad():
@@ -198,7 +206,7 @@ class TestConvAlphaBeta:
 
     def test_strided_padded_conservation_positive(self):
         rng = np.random.default_rng(4)
-        a = rng.random((2, 4, 4))
+        a = rng.random((1, 2, 4, 4))
         k = rng.random((3, 2, 3, 3))
         with T.no_grad():
             out = T.conv2d(Tensor(a), Tensor(k), stride=2, pad=1).data
@@ -437,6 +445,19 @@ class TestBatchedCore:
                 assert got.u_value == want.u_value
                 assert got.predicted_class == want.predicted_class
                 assert got.prototype_index == want.prototype_index
+
+    def test_one_image_equals_batch_of_one(self, head_kind):
+        """explain(x) returns the pairs of explain(x[None])[0], byte for
+        byte: the one-image form the benchmark's explain workload calls."""
+        student = micro_student(head_kind, seed=50, k=6, classes=3)
+        x = self._images(student, 51)[0]
+        alone, (batched,) = explain(student, x, topk=3), explain(student, x[None], topk=3)
+        assert len(alone) == len(batched) == 3
+        for got, want in zip(alone, batched):
+            for name in ("heat_input", "heat_proto", "r_sim"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.u_value, got.predicted_class, got.prototype_index) == \
+                (want.u_value, want.predicted_class, want.prototype_index)
 
     def test_chunks_cross_without_changing_pairs(self, monkeypatch):
         student = micro_student("III-B", seed=42, k=6)

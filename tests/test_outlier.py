@@ -6,6 +6,7 @@ import pytest
 from protostudent.outlier import (MetricError, auc, maxprob_score,
                                   outlier_score, score_samples, u_from_record)
 from protostudent.replacement import ParameterError
+from protostudent.tensor import DimensionError
 
 from conftest import micro_student
 from oracles import encode
@@ -42,11 +43,11 @@ class TestUScores:
         student = micro_student("II-A", seed=2, k=2)
         rng = np.random.default_rng(3)
         x = rng.random((2, 4, 4))
-        fx = encode(student.encoder, x)
+        fx = encode(student.encoder, x[None])[0]
         u = u_one(student, x)
         c = fx.shape[0]
         for k in range(2):
-            fp = encode(student.encoder, student.store.images[k])
+            fp = encode(student.encoder, student.store.images[k:k + 1])[0]
             fxn = fx.reshape(c, -1)
             fpn = fp.reshape(c, -1)
             cos = np.zeros(fxn.shape[1])
@@ -103,29 +104,34 @@ class TestMaxProb:
         student = micro_student("I", seed=8, classes=2)
         student.head.w.data[...] = 0.0
         student.head.b.data[...] = 0.0
-        s = maxprob_score(student, np.random.default_rng(9).random((2, 4, 4)))
-        assert s == pytest.approx(-0.5)
+        s = maxprob_score(student, np.random.default_rng(9).random((3, 2, 4, 4)))
+        np.testing.assert_allclose(s, [-0.5] * 3)
 
     def test_uniform_logits_ten_classes(self):
         student = micro_student("I", seed=8, classes=10)
         student.head.w.data[...] = 0.0
         student.head.b.data[...] = 0.0
-        s = maxprob_score(student, np.random.default_rng(9).random((2, 4, 4)))
-        assert s == pytest.approx(-0.1)
+        s = maxprob_score(student, np.random.default_rng(9).random((3, 2, 4, 4)))
+        np.testing.assert_allclose(s, [-0.1] * 3)
 
     def test_confident_prediction_near_minus_one(self):
         student = micro_student("I", seed=10, classes=2)
         student.head.b.data = np.array([30.0, -30.0])
-        s = maxprob_score(student, np.random.default_rng(11).random((2, 4, 4)))
-        assert s == pytest.approx(-1.0, abs=1e-8)
+        s = maxprob_score(student, np.random.default_rng(11).random((3, 2, 4, 4)))
+        np.testing.assert_allclose(s, [-1.0] * 3, rtol=0, atol=1e-8)
 
     def test_logit_shift_invariance(self):
         student = micro_student("I", seed=12, classes=2)
-        x = np.random.default_rng(13).random((2, 4, 4))
+        x = np.random.default_rng(13).random((3, 2, 4, 4))
         s1 = maxprob_score(student, x)
         student.head.b.data += 57.0
         s2 = maxprob_score(student, x)
-        assert s1 == pytest.approx(s2, abs=1e-9)
+        np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-9)
+
+    def test_rejects_single_image(self):
+        student = micro_student("I", seed=12, classes=2)
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            maxprob_score(student, np.zeros((2, 4, 4)))
 
 
 class TestAuc:

@@ -38,18 +38,18 @@ def conv2d_loops(x, k, stride, pad):
 
 class TestConv2d:
     def test_scalar_product(self):
-        out = T.conv2d(Tensor(np.full((1, 1, 1), 2.0)), Tensor(np.full((1, 1, 1, 1), 3.0)))
+        out = T.conv2d(Tensor(np.full((1, 1, 1, 1), 2.0)), Tensor(np.full((1, 1, 1, 1), 3.0)))
         assert out.data.reshape(-1)[0] == 6.0
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.random((3, 5, 5))
+        x = rng.random((1, 3, 5, 5))
         out = T.conv2d(Tensor(x), Tensor(np.eye(3).reshape(3, 3, 1, 1)))
         np.testing.assert_array_equal(out.data, x)
 
     def test_ones_summation(self):
-        out = T.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
-        np.testing.assert_allclose(out.data, [[[9.0]]])
+        out = T.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
+        np.testing.assert_allclose(out.data, [[[[9.0]]]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -61,17 +61,22 @@ class TestConv2d:
             pad = int(rng.integers(0, 2))
             x = rng.standard_normal((c, h, h))
             k = rng.standard_normal((f, c, kh, kh))
-            got = T.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad).data
+            got = T.conv2d(Tensor(x[None]), Tensor(k), stride=stride, pad=pad).data[0]
             np.testing.assert_allclose(got, conv2d_loops(x, k, stride, pad), atol=1e-12)
 
     def test_output_extent_formula(self):
-        out = T.conv2d(Tensor(np.zeros((1, 10, 7))), Tensor(np.zeros((2, 1, 3, 3))),
+        out = T.conv2d(Tensor(np.zeros((1, 1, 10, 7))), Tensor(np.zeros((2, 1, 3, 3))),
                        stride=2, pad=1)
-        assert out.shape == (2, (10 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        assert out.shape == (1, 2, (10 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
 
     def test_channel_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
+        with pytest.raises(DimensionError, match="channel mismatch"):
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 2, 2))))
+
+    def test_rejects_single_image(self):
+        """The input is a batch [N,C,H,W]; one image [C,H,W] is refused."""
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 2, 2))))
 
     @pytest.mark.parametrize("w2", [1, 4, 15, 16, 20])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -92,14 +97,14 @@ class TestConv2d:
         np.testing.assert_array_equal(got.reshape(t, -1), want)
 
     def test_oversized_kernel_raises(self):
-        with pytest.raises(DimensionError):
-            T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+        with pytest.raises(DimensionError, match="exceeds"):
+            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
 class TestConv2dTiles:
     """Batches spanning several im2col tiles, the last one partial, against
-    the loop oracle and against the same op applied image by image through
-    the 3-D path (a single tile)."""
+    the loop oracle and against the same op applied image by image as
+    batches of one (a single tile)."""
 
     @staticmethod
     def _tiles_of(monkeypatch, per_tile, c, h, kh, stride, pad):
@@ -125,13 +130,13 @@ class TestConv2dTiles:
         for i in range(n):
             np.testing.assert_allclose(out.data[i], conv2d_loops(x.data[i], k.data, stride, pad)
                                        + shift, atol=1e-12)
-            xi = Tensor(x.data[i], requires_grad=True)
+            xi = Tensor(x.data[i:i + 1], requires_grad=True)
             ki = Tensor(k.data, requires_grad=True)
             bi = None if b is None else Tensor(b.data, requires_grad=True)
             one = T.conv2d(xi, ki, bi, stride=stride, pad=pad)
-            np.testing.assert_allclose(one.data, out.data[i], atol=1e-12)
-            one.backward(seed[i])
-            np.testing.assert_allclose(x.grad[i], xi.grad, atol=1e-12)
+            np.testing.assert_allclose(one.data[0], out.data[i], atol=1e-12)
+            one.backward(seed[i:i + 1])
+            np.testing.assert_allclose(x.grad[i], xi.grad[0], atol=1e-12)
             dk += ki.grad
             if b is not None:
                 db += bi.grad
@@ -271,13 +276,6 @@ class TestConv2dRelu:
         self._assert_same(operands, self._seed(rng, operands, stride, pad, padded_view),
                           stride, pad)
 
-    @pytest.mark.parametrize("padded_view", [False, True], ids=["contiguous", "padded-view"])
-    def test_squeezed_input(self, padded_view):
-        rng = np.random.default_rng([padded_view, 72])
-        operands = self._operands(rng, (2, 6, 6), 3, 3)
-        seed = self._seed(rng, operands, 1, 1, padded_view)
-        assert self._assert_same(operands, seed, 1, 1)[0].shape == (3, 6, 6)
-
     def test_no_grad_call(self):
         rng = np.random.default_rng(73)
         x, k, b = self._operands(rng, (5, 2, 6, 6), 3, 3)
@@ -319,8 +317,12 @@ class TestSimplePrimitives:
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_avgpool_constant(self):
-        out = T.avgpool_spatial(Tensor(np.full((4, 3, 3), 2.5)))
-        np.testing.assert_allclose(out.data, 2.5)
+        out = T.avgpool_spatial(Tensor(np.full((1, 4, 3, 3), 2.5)))
+        np.testing.assert_allclose(out.data, np.full((1, 4), 2.5))
+
+    def test_avgpool_rejects_single_image(self):
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            T.avgpool_spatial(Tensor(np.ones((4, 3, 3))))
 
     def test_avgpool_batched(self):
         rng = np.random.default_rng(3)
@@ -644,7 +646,7 @@ class TestGradients:
         rng = np.random.default_rng([seed, 7])
         stride = 1 + seed % 2
         pad = seed % 2
-        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
         k = Tensor(rng.standard_normal((3, 2, 2, 2)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
@@ -736,7 +738,7 @@ class TestGradCheckOracle:
         """Pooled-feature cosine head on a 2-channel input (the composite
         pipeline oracle)."""
         rng = np.random.default_rng(5)
-        x = Tensor(rng.random((2, 4, 4)), requires_grad=True)
+        x = Tensor(rng.random((1, 2, 4, 4)), requires_grad=True)
         k = Tensor(rng.standard_normal((3, 2, 2, 2)) * 0.5, requires_grad=True)
         proto = Tensor(rng.random((3,)), requires_grad=True)
 
