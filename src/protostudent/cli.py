@@ -182,11 +182,9 @@ def cmd_perturb_eval(cfg: RunConfig) -> int:
     params = _lrp_params(cfg)
     fill = train.images.mean(axis=(0, 2, 3))
     curves = {}
-    heats = P.top1_heatmaps(student, test.images, params)
     for policy in ("relevance", "random"):
         curve = P.perturb_eval(student, test.images, region=cfg.region, steps=cfg.steps,
-                               policy=policy, params=params, fill=fill, seed=cfg.seed,
-                               heats=heats if policy == "relevance" else None)
+                               policy=policy, params=params, fill=fill, seed=cfg.seed)
         curves[policy] = curve
         rows = "".join(f"{step},{value!r}\n" for step, value in enumerate(curve.mean_logits))
         write_file(out / f"curve_{policy}.csv", ("step,mean_logit\n" + rows).encode())

@@ -94,6 +94,8 @@ class RunConfig:
             raise ConfigError("lrp_alpha", "alpha - beta must equal 1")
         if self.lrp_alpha <= 0 or self.lrp_beta < 0:
             raise ConfigError("lrp_alpha", "need alpha > 0 and beta >= 0")
+        if self.dataset_family not in ("primary", "alt"):
+            raise ConfigError("dataset_family", "must be primary or alt")
         if self.outlier_setup not in ("A", "B", "C"):
             raise ConfigError("outlier_setup", "must be A, B, or C")
         if not 0.0 < self.prune_fraction < 1.0:
@@ -101,14 +103,16 @@ class RunConfig:
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be nonnegative")
-        for name in ("topk", "batch_size", "region"):
+        for name in ("topk", "batch_size", "region", "n_per_class", "n_test_per_class",
+                     "image_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
         for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs", "steps"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        for name in ("kprime", "sweep"):
-            if any(v < 1 for v in getattr(self, name)):
+        for name, values in (("kprime", self.kprime), ("sweep", self.sweep),
+                             ("encoder_blocks", [v for b in self.encoder_blocks for v in b])):
+            if any(v < 1 for v in values):
                 raise ConfigError(name, "entries must be >= 1")
         if self.image_size % self.region:
             raise ConfigError("region", "must divide image_size")

@@ -123,8 +123,6 @@ def _render(shape: str, hue: float, h: int, w: int, rng: np.random.Generator) ->
 class SyntheticDataset:
     images: np.ndarray        # [N,3,H,W] in [0,1]
     labels: np.ndarray        # [N]
-    seed: int
-    class_spec: list          # per class: {"shape", "hue"}
 
     def __len__(self):
         return len(self.labels)
@@ -135,11 +133,12 @@ def gen_dataset(seed: int, n_per_class: int, classes: int, size=(32, 32),
     """Balanced shape dataset; bit-reproducible from the seed."""
     if classes < 2:
         raise DatasetError("need at least 2 classes")
+    if family not in ("primary", "alt"):
+        raise DatasetError(f"unknown dataset family {family!r}")
     shapes = PRIMARY_SHAPES if family == "primary" else ALT_SHAPES
     if classes > len(shapes):
         raise DatasetError(f"at most {len(shapes)} classes per family")
     h, w = size
-    spec = [{"shape": shapes[c], "hue": (c + 0.5) / classes} for c in range(classes)]
     images = np.zeros((classes * n_per_class, 3, h, w))
     labels = np.zeros(classes * n_per_class, dtype=np.int64)
     fam_tag = 0 if family == "primary" else 1
@@ -147,9 +146,9 @@ def gen_dataset(seed: int, n_per_class: int, classes: int, size=(32, 32),
         for j in range(n_per_class):
             idx = c * n_per_class + j
             rng = np.random.default_rng([seed, fam_tag, idx])
-            images[idx] = _render(spec[c]["shape"], spec[c]["hue"], h, w, rng)
+            images[idx] = _render(shapes[c], (c + 0.5) / classes, h, w, rng)
             labels[idx] = c
-    return SyntheticDataset(images=images, labels=labels, seed=seed, class_spec=spec)
+    return SyntheticDataset(images=images, labels=labels)
 
 
 def _segment_mask(h: int, w: int, p0, p1, thickness: float) -> np.ndarray:

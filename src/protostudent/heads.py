@@ -23,6 +23,10 @@ get z from one op, `tensor.attended_score`, and differ only in its
 position weights (the input attention, times the prototype attention
 for III-C) and in whether the prototype side is read at the matched
 positions (III-B) or the aligned ones.
+
+`StudentModel.forward` is the one inference forward, with rows that do
+not depend on the batch. Its record's `u` gives the similarity scores
+that both rank the prototypes explaining a prediction and score outliers.
 """
 from __future__ import annotations
 
@@ -117,6 +121,19 @@ class SimilarityRecord:
     fx_raw: Tensor | None = None       # [B, C, HW]
     fp_raw: Tensor | None = None       # [K, C, HW]
 
+    @property
+    def u(self) -> np.ndarray:
+        """Per-prototype similarity scores [B, K], in [0, 1] for nonnegative
+        features: z where no attention was recorded (Heads I, II), else the
+        attended cosine map attn * cos averaged over positions (III-A/B),
+        or, with prototype attention (III-C), attn * attn_p * cos at its
+        spatial max."""
+        if self.attn is None:
+            return self.z.data
+        if self.attn_p is None:
+            return (self.attn.data * self.cos.data).mean(axis=2)
+        return (self.attn.data * self.attn_p.data * self.cos.data).max(axis=2)
+
 
 def _flatten_spatial(t: Tensor) -> Tensor:
     n, c, h, w = t.shape
@@ -202,10 +219,19 @@ class StudentModel:
             self.store.features = self.encoder.forward(Tensor(self.store.images))
 
     def forward(self, images: np.ndarray) -> tuple:
-        """(logits, record) for a batch of raw images, without a graph."""
+        """(logits, record) for a batch of raw images, without a graph: the
+        one inference forward. The products that reduce one image's row
+        (Head I's pooled cosines, the logits) are one-row products
+        (`tensor.rows`); the rest of the forward is the same per row
+        either way. So every row of the logits and of the record equals a
+        one-image call, whichever images share the batch."""
         with T.no_grad():
             fx = self.encoder.forward(Tensor(np.asarray(images, dtype=np.float64)))
-            return head_forward(fx, self.store, self.head)
+            _, rec = head_forward(fx, self.store, self.head)
+        if rec.kind == "I":
+            rec.s_raw = Tensor(T.rows(rec.gxh.data, rec.gph.data.T))
+            rec.z = Tensor(np.maximum(rec.s_raw.data, 0.0))
+        return Tensor(T.rows(rec.z.data, self.head.w.data.T) + self.head.b.data), rec
 
     def predict_logits(self, images: np.ndarray) -> np.ndarray:
         return self.forward(images)[0].data

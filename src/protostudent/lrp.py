@@ -20,27 +20,27 @@ outputs: every layer the encoder records) has c- = 0, so its pools are
 k+@c and k-@c and half the GEMMs drop out; this is the z+ case of deep
 Taylor decomposition for ReLU inputs.
 
-One core serves N images with k prototypes each: one ranking forward
-over the batch, one recorded encoder forward over the N inputs plus the
-distinct selected prototypes (a prototype several images share is
-encoded once), and one relevance sweep over the 2·N·k stacked sides. The
-similarity layer's relevance and its split onto the two feature maps are
-one vectorized computation over all pairs; the spatial heads differ only
-in the record fields a small table names.
+One core serves N images with k prototypes each: one `student.forward`
+over the batch, whose record gives the ranking scores u and whose rows
+do not depend on the batch, one recorded encoder forward over the N
+inputs plus the distinct selected prototypes (a prototype several images
+share is encoded once), and one relevance sweep over the 2·N·k stacked
+sides. The similarity layer's relevance and its split onto the two
+feature maps are one vectorized computation over all pairs; the spatial
+heads differ only in the record fields a small table names.
 """
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import imagefiles
 from .heads import StudentModel
-from .outlier import u_from_record
-from .tensor import DimensionError, Tensor, _col2im_add, _im2col_plan
+from .tensor import DimensionError, _col2im_add, _im2col_plan
 
 _ALPHA_DEFAULT = 1.7
 _BETA_DEFAULT = 0.7
@@ -256,35 +256,15 @@ def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndar
             r_fp.reshape(n_pairs, -1, h, w))
 
 
-def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as a stack of one-row products."""
-    return (a[:, None, :] @ b)[:, 0]
-
-
-def _ranking_forward(student: StudentModel, images: np.ndarray) -> tuple:
-    """(logits, record) of student.forward(images), with every product that
-    reduces one image's row (Head I's pooled cosines, the logits) taken as
-    a one-row product. BLAS sums a one-row product (gemv) in another order
-    than a row of a batched one (gemm); one-row products keep each image's
-    pairs bit-equal to a one-image explain whichever images share its
-    chunk. Everything else in the forward is the same per row either way."""
-    _, rec = student.forward(images)
-    if rec.kind == "I":
-        s_raw = _rows(rec.gxh.data, rec.gph.data.T)
-        rec = replace(rec, s_raw=Tensor(s_raw), z=Tensor(np.maximum(s_raw, 0.0)))
-    head = student.head
-    return _rows(rec.z.data, head.w.data.T) + head.b.data, rec
-
-
 def _pairs(student: StudentModel, images: np.ndarray, ks: list,
            params: LrpParams | None, fwd: tuple) -> list:
     """Heatmap pairs for (images[i], prototype k) for every k in ks[i];
     returns one list of pairs per image.
 
-    fwd is _ranking_forward(student, images). One recorded encoder
-    forward covers the images and the distinct selected prototypes, and
-    one relevance sweep covers the 2P stacked sides of the P pairs: rows
-    0..P-1 are the input sides, rows P..2P-1 the prototype sides.
+    fwd is student.forward(images). One recorded encoder forward covers
+    the images and the distinct selected prototypes, and one relevance
+    sweep covers the 2P stacked sides of the P pairs: rows 0..P-1 are the
+    input sides, rows P..2P-1 the prototype sides.
     """
     params = params or LrpParams()
     store = student.store
@@ -299,7 +279,7 @@ def _pairs(student: StudentModel, images: np.ndarray, ks: list,
     protos, slot = np.unique(kp, return_inverse=True)
     feats, records = student.encoder.forward_recorded(
         np.concatenate([images, store.images[protos]]))
-    y, rec = fwd
+    y, rec = fwd[0].data, fwd[1]
     if not np.isfinite(y).all():
         raise PropagationError("logits are non-finite; model state unusable")
     r_sim, r_fx, r_fp = _similarity_relevance(student, rec, y, ix, kp, feats[ix],
@@ -307,7 +287,7 @@ def _pairs(student: StudentModel, images: np.ndarray, ks: list,
     rows = np.concatenate([ix, n + slot])
     heat = encoder_lrp([dict(r, input=r["input"][rows]) for r in records],
                        np.concatenate([r_fx, r_fp]), params).sum(axis=1)
-    u = u_from_record(rec)
+    u = rec.u
     c_star = y.argmax(axis=1)
     pairs = [RelevancePair(prototype_index=int(kp[j]), r_sim=r_sim[j], heat_input=heat[j],
                            heat_proto=heat[len(kp) + j], u_value=float(u[ix[j], kp[j]]),
@@ -321,7 +301,7 @@ def heatmaps(student: StudentModel, x: np.ndarray, k: int,
              params: LrpParams | None = None) -> RelevancePair:
     """Paired pixel heatmaps for (x, prototype k)."""
     x = np.asarray(x, dtype=np.float64)[None]
-    return _pairs(student, x, [[k]], params, _ranking_forward(student, x))[0][0]
+    return _pairs(student, x, [[k]], params, student.forward(x))[0][0]
 
 
 def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
@@ -330,7 +310,7 @@ def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
 
     x is one image [C,H,W], which returns its list of pairs, or a batch
     [N,C,H,W], which returns one list per image. Images run in chunks of
-    CHUNK, each with one ranking forward reused for every pair and one
+    CHUNK, each with one student.forward reused for every pair and one
     relevance core call, so peak memory does not grow with N.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -338,8 +318,8 @@ def explain(student: StudentModel, x: np.ndarray, topk: int = 1,
     out = []
     for start in range(0, len(batch), CHUNK):
         chunk = batch[start:start + CHUNK]
-        fwd = _ranking_forward(student, chunk)
-        order = np.argsort(-u_from_record(fwd[1]), axis=1, kind="stable")[:, :topk]
+        fwd = student.forward(chunk)
+        order = np.argsort(-fwd[1].u, axis=1, kind="stable")[:, :topk]
         out.extend(_pairs(student, chunk, order.tolist(), params, fwd))
     return out if x.ndim == 4 else out[0]
 

@@ -2,9 +2,12 @@
 baseline, and AUC evaluation.
 
 Every head yields per-prototype similarity scores u_k in [0,1] (given the
-nonnegative encoder): Heads I and II use the classification-layer inputs
-z(p_k) directly; Head III derives them from attention-weighted cosine
-maps. The outlier score is one minus the mean of the top-k' scores.
+nonnegative encoder), read from the head record (`SimilarityRecord.u`):
+Heads I and II use the classification-layer inputs z(p_k) directly; Head
+III derives them from attention-weighted cosine maps. The outlier score
+is one minus the mean of the top-k' scores. `student.forward` and the
+teacher's `predict_logits` take each row as a one-image call does, so a
+sample's scores do not depend on the batch it is scored in.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .heads import SimilarityRecord, StudentModel
+from .heads import StudentModel
 from .replacement import ParameterError
 from .tensor import Tensor
 
@@ -29,39 +32,6 @@ class OutlierReport:
     o: float
     predicted_class: int
     maxprob: float
-
-
-def spatial_sim_map(rec: SimilarityRecord) -> np.ndarray:
-    """Attended similarity map r per (sample, prototype), [B,K,H,W].
-
-    Head III only: the attention weight(s) times the normalized cosine at
-    each position, so every entry stays in [0,1] for nonnegative
-    features: the matched cosine map (aligned for III-A, best match for
-    III-B/III-C) weighted by the input-side attention, and for III-C also
-    by the prototype-side attention.
-    """
-    if rec.attn is None:
-        raise MetricError(f"no attended similarity map for head {rec.kind!r}")
-    a = rec.attn.data if rec.attn_p is None else rec.attn.data * rec.attn_p.data
-    r = a * rec.cos.data
-    b, k, _ = r.shape
-    return r.reshape(b, k, *rec.hw_shape)
-
-
-def u_from_record(rec: SimilarityRecord) -> np.ndarray:
-    """Per-prototype similarity scores from a head forward record, [B,K].
-
-    Heads I/II: u_k = z(p_k). Heads III-A/B: spatial mean of the attended
-    similarity map. Head III-C: its spatial max.
-    """
-    kind = rec.kind
-    if kind in ("I", "II-A", "II-B"):
-        return rec.z.data.copy()
-    if kind in ("III-A", "III-B"):
-        return spatial_sim_map(rec).mean(axis=(2, 3))
-    if kind == "III-C":
-        return spatial_sim_map(rec).max(axis=(2, 3))
-    raise MetricError(f"unknown head kind {kind!r}")
 
 
 def outlier_score(u: np.ndarray, k_prime: int) -> float:
@@ -119,7 +89,7 @@ def score_samples(student: StudentModel, images: np.ndarray, k_prime: int,
     for start in range(0, len(images), batch_size):
         chunk = images[start:start + batch_size]
         logits, rec = student.forward(chunk)
-        u_all = u_from_record(rec)
+        u_all = rec.u
         base = maxprob_score(baseline_model or student, chunk)
         preds = logits.data.argmax(axis=1)
         for i in range(len(chunk)):

@@ -18,10 +18,7 @@ from .lrp import LrpParams, explain
 
 @dataclass
 class PerturbationCurve:
-    steps: int
     mean_logits: list          # step 0 = unperturbed
-    region: int
-    policy: str                # "relevance" or "random"
 
     def aopc(self) -> float:
         """Mean drop of the predicted-class logit over all steps."""
@@ -47,12 +44,10 @@ def _apply_tile(img: np.ndarray, tile: int, region: int, tw: int, fill: np.ndarr
 def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
                  steps: int = 15, policy: str = "relevance",
                  params: LrpParams | None = None, fill: np.ndarray | None = None,
-                 seed: int = 0, heats: list | None = None) -> PerturbationCurve:
+                 seed: int = 0) -> PerturbationCurve:
     """Perturbation curve over an evaluation set.
 
-    fill defaults to the per-channel mean of the given images. heats may
-    carry precomputed input-side heatmaps (top-1 prototype pair per
-    sample) to share between policies.
+    fill defaults to the per-channel mean of the given images.
     """
     n, c, h, w = images.shape
     if h % region or w % region:
@@ -64,29 +59,23 @@ def perturb_eval(student: StudentModel, images: np.ndarray, region: int = 4,
         raise ConfigurationError(f"unknown policy {policy!r}")
     fill = images.mean(axis=(0, 2, 3)) if fill is None else fill
 
-    logits0, _ = student.forward(images)
-    preds = logits0.data.argmax(axis=1)
+    logits0 = student.predict_logits(images)
+    preds = logits0.argmax(axis=1)
 
-    orders = []
     if policy == "relevance":
-        if heats is None:
-            heats = top1_heatmaps(student, images, params)
-        for i in range(n):
-            orders.append(tile_order(heats[i], region))
+        orders = [tile_order(heat, region) for heat in top1_heatmaps(student, images, params)]
     else:
-        for i in range(n):
-            rng = np.random.default_rng([seed, i])
-            orders.append(rng.permutation(n_tiles))
+        orders = [np.random.default_rng([seed, i]).permutation(n_tiles) for i in range(n)]
 
     work = images.copy()
     tw = w // region
-    curve = [float(logits0.data[np.arange(n), preds].mean())]
+    curve = [float(logits0[np.arange(n), preds].mean())]
     for step in range(steps):
         for i in range(n):
             _apply_tile(work[i], orders[i][step], region, tw, fill)
         logits = student.predict_logits(work)
         curve.append(float(logits[np.arange(n), preds].mean()))
-    return PerturbationCurve(steps=steps, mean_logits=curve, region=region, policy=policy)
+    return PerturbationCurve(mean_logits=curve)
 
 
 def top1_heatmaps(student: StudentModel, images: np.ndarray,

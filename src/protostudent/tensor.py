@@ -3,7 +3,8 @@
 Every primitive used by the encoder, the similarity heads, and the losses
 lives here: add, mul, div, relu and square, reshape, transpose, row splits
 and flat gathers, sum and mean, 2-D (or stacked) matmul, conv2d, softmax
-variants, and channel normalization. Data is stored row-major at 64-bit
+variants, and channel normalization. `rows` is the graph-free product
+the inference forwards take per row. Data is stored row-major at 64-bit
 precision; gradients accumulate in a deterministic topological sweep. A
 node keeps the first gradient it receives as is, often a view of its
 child's gradient or the very same buffer, and adds later ones out of
@@ -313,6 +314,15 @@ def linear(x, w, b) -> Tensor:
     if w.shape[1] != x.shape[-1]:
         raise DimensionError(f"linear: weight columns {w.shape[1]} != input width {x.shape[-1]}")
     return add(matmul(x, transpose(w, (1, 0))), b)
+
+
+def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a [N, D] @ b [D, M] as a stack of one-row products, outside any graph.
+    BLAS sums a one-row product (gemv) in another order than a row of a
+    batched one (gemm), so only one-row products make row n independent of
+    N. The inference forwards take their row-reducing products here;
+    training keeps `matmul`."""
+    return (a[:, None, :] @ b)[:, 0]
 
 
 def einsum(spec: str, *tensors) -> Tensor:

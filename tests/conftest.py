@@ -9,6 +9,9 @@ from protostudent.tensor import Tensor
 
 
 MICRO_CONFIG = EncoderConfig(in_channels=2, blocks=((3, 2, 1),), input_size=(4, 4))
+# a 16x16 two-block encoder: big enough that BLAS sums a batched product's
+# row in another order than a one-row product
+ROWS_CONFIG = EncoderConfig(in_channels=3, blocks=((8, 3, 2), (16, 3, 2)), input_size=(16, 16))
 
 
 def micro_student(kind: str, seed: int = 0, k: int = 4, classes: int = 2,

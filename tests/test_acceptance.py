@@ -18,8 +18,8 @@ from protostudent.encoder import EncoderConfig, train_teacher
 from protostudent.heads import HEAD_KINDS, head_forward
 from protostudent.losses import LossWeights, j_from_record, total_loss
 from protostudent.lrp import LrpParams, heatmaps
-from protostudent.outlier import auc, score_samples, u_from_record
-from protostudent.perturb import perturb_eval, top1_heatmaps
+from protostudent.outlier import auc, score_samples
+from protostudent.perturb import perturb_eval
 from protostudent.replacement import (ReplacementConfig, finetune, init_store,
                                       lowest, masked_logits, prune, train_student)
 from protostudent.tensor import Tensor
@@ -243,7 +243,7 @@ class TestCriterion4HeadRelations:
             student = micro_student(kind, seed=40)
             imgs = rng.random((200, 2, 4, 4))
             _, rec = student.forward(imgs)
-            u = u_from_record(rec)
+            u = rec.u
             assert (u >= -1e-12).all() and (u <= 1 + 1e-12).all(), kind
         report(4, "max-head dominance on 500 pairs (exact), equality for "
                   "constant prototypes, u in [0,1] for all heads")
@@ -306,9 +306,8 @@ class TestCriterion7PerturbationQuality:
         sub = test.images[:200]
         params = LrpParams()
         fill = train.images.mean(axis=(0, 2, 3))
-        heats = top1_heatmaps(student, sub, params)
         rel = perturb_eval(student, sub, region=4, steps=15, policy="relevance",
-                           params=params, fill=fill, heats=heats)
+                           params=params, fill=fill)
         rnd = perturb_eval(student, sub, region=4, steps=15, policy="random",
                            params=params, fill=fill, seed=0)
         assert rel.aopc() >= 1.10 * rnd.aopc(), \

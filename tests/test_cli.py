@@ -238,8 +238,16 @@ class TestBadConfigValues:
         ("train-teacher", "seed", None),
         ("train-teacher", "encoder_blocks", [[8, 3]]),
         ("perturb-eval", "steps", -1),
+        ("train-teacher", "dataset_family", "foo"),
+        ("train-teacher", "n_test_per_class", 0),
+        ("train-teacher", "image_size", 0),
+        ("train-teacher", "encoder_blocks", [[6, 0, 2], [12, 3, 2]]),
+        ("train-teacher", "encoder_blocks", [[6, 3, 0], [12, 3, 2]]),
+        ("train-teacher", "n_per_class", 0),
     ], ids=["region-0", "region-negative", "epochs-string", "kprime-int", "classes-float",
-            "seed-null", "encoder_blocks-two-ints", "steps-negative"])
+            "seed-null", "encoder_blocks-two-ints", "steps-negative", "dataset_family-unknown",
+            "n_test_per_class-0", "image_size-0", "encoder_blocks-kernel-0",
+            "encoder_blocks-stride-0", "n_per_class-0"])
     def test_exit_2_names_field(self, pipeline, capsys, command, field, bad):
         root, _ = pipeline
         path = root / f"bad_{field}.json"

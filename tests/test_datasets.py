@@ -42,6 +42,10 @@ class TestGenDataset:
         with pytest.raises(DatasetError):
             gen_dataset(0, 2, len(PRIMARY_SHAPES) + 1)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DatasetError, match="'foo'"):
+            gen_dataset(0, 2, 2, family="foo")
+
 
 class TestStrokes:
     def test_no_strokes_is_identity(self):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from protostudent import tensor as T
-from protostudent.encoder import Encoder, EncoderConfig, TrainingError, train_teacher
+from protostudent.encoder import (Encoder, EncoderConfig, TrainingError, make_teacher,
+                                  train_teacher)
 from protostudent.tensor import DimensionError, Tensor
 
+from conftest import ROWS_CONFIG
 from oracles import encode
 
 
@@ -153,6 +155,16 @@ class TestEncoder:
                 assert rec["input"].shape == (n, *one["input"].shape[1:])
                 np.testing.assert_array_equal(rec["input"][i], one["input"][0])
                 assert (rec["stride"], rec["pad"]) == (one["stride"], one["pad"])
+
+
+def test_teacher_logit_rows_equal_one_image_calls():
+    """teacher.predict_logits over 7 images gives, row for row, the bytes of
+    one-image calls."""
+    teacher = make_teacher(ROWS_CONFIG, 3, seed=62)
+    xs = np.random.default_rng(63).random((7, 3, 16, 16))
+    logits = teacher.predict_logits(xs)
+    for i in range(len(xs)):
+        assert logits[i].tobytes() == teacher.predict_logits(xs[i:i + 1])[0].tobytes()
 
 
 class TestTeacherTraining:

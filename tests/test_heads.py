@@ -14,7 +14,7 @@ from protostudent.optim import SGD
 from protostudent.replacement import PrototypeStore
 from protostudent.tensor import Tensor
 
-from conftest import micro_student
+from conftest import ROWS_CONFIG, micro_student
 from oracles import (encode, grad_check, sim_I, sim_IIA, sim_IIB, attention,
                      sim_IIIA, sim_IIIB, attn_IIIC, sim_IIIC)
 
@@ -300,6 +300,30 @@ class TestHeadForward:
         opt.step()
         student.head.clip_conv1d()
         assert (student.head.conv1d_w.data >= 0).all()
+
+
+# the record fields that hold one row per input image
+PER_IMAGE = ("z", "s_raw", "gxh", "cos", "cos_p", "argmax_p", "argmax_x", "attn", "attn_p",
+             "norms_x", "fxh", "fx_raw")
+
+
+class TestInferenceForward:
+    def test_rows_equal_one_image_calls(self, head_kind):
+        """Each row of student.forward over 7 images (logits, u and every
+        per-image record field) equals the one-image call bit for bit."""
+        student = micro_student(head_kind, seed=60, k=12, classes=3, config=ROWS_CONFIG)
+        xs = np.random.default_rng(61).random((7, 3, 16, 16))
+        logits, rec = student.forward(xs)
+        ones = [student.forward(x[None]) for x in xs]
+        assert [row.tobytes() for row in logits.data] == [y.data[0].tobytes() for y, _ in ones]
+        assert [row.tobytes() for row in rec.u] == [one.u[0].tobytes() for _, one in ones]
+        for name in PER_IMAGE:
+            for i, (_, one) in enumerate(ones):
+                got, want = getattr(rec, name), getattr(one, name)
+                if isinstance(got, Tensor):
+                    got, want = got.data, want.data
+                if got is not None:
+                    assert got[i].tobytes() == want[0].tobytes(), name
 
 
 class TestHeadGradients:

@@ -327,11 +327,11 @@ class TestHeatmaps:
         input position selected as its best match."""
         student = bias_free_student("II-B", seed=17, k=2)
         x = np.random.default_rng(18).random((2, 4, 4))
-        y, rec = lrp._ranking_forward(student, x[None])
+        y, rec = student.forward(x[None])
         sel = set(int(v) for v in rec.argmax_p[0, 0])
         feats = encode(student.encoder, np.stack([x, student.store.images[0]]))
         one = np.zeros(1, dtype=np.int64)
-        _, _, r_fp = lrp._similarity_relevance(student, rec, y, one, one, feats[:1],
+        _, _, r_fp = lrp._similarity_relevance(student, rec, y.data, one, one, feats[:1],
                                                feats[1:], 1e-3)
         flat = np.abs(r_fp[0]).sum(axis=0).reshape(-1)
         support = set(int(i) for i in np.flatnonzero(flat > 1e-15))
@@ -498,8 +498,7 @@ class TestBatchedCore:
         student = micro_student("III-C", seed=48, k=4)
         images = np.random.default_rng(49).random((2, 2, 4, 4))
         with pytest.raises(PropagationError):
-            lrp._pairs(student, images, [[0, 1], [2, bad]], None,
-                       lrp._ranking_forward(student, images))
+            lrp._pairs(student, images, [[0, 1], [2, bad]], None, student.forward(images))
 
 
 class TestExportPair:

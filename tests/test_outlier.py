@@ -3,12 +3,12 @@ baseline, and the AUC implementation against a brute-force oracle."""
 import numpy as np
 import pytest
 
-from protostudent.outlier import (MetricError, auc, maxprob_score,
-                                  outlier_score, score_samples, u_from_record)
+from protostudent.encoder import make_teacher
+from protostudent.outlier import MetricError, auc, maxprob_score, outlier_score, score_samples
 from protostudent.replacement import ParameterError
 from protostudent.tensor import DimensionError
 
-from conftest import micro_student
+from conftest import ROWS_CONFIG, micro_student
 from oracles import encode
 
 
@@ -24,7 +24,7 @@ def auc_pairs_oracle(scores, labels):
 
 def u_one(student, x):
     """Similarity scores of one image [C,H,W] against every prototype, [K]."""
-    return u_from_record(student.forward(x[None])[1])[0]
+    return student.forward(x[None])[1].u[0]
 
 
 class TestUScores:
@@ -132,6 +132,20 @@ class TestMaxProb:
         student = micro_student("I", seed=12, classes=2)
         with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
             maxprob_score(student, np.zeros((2, 4, 4)))
+
+
+class TestScoreSamples:
+    def test_batch_size_does_not_change_bytes(self, head_kind):
+        """With the teacher baseline, u, o, maxprob and the predicted class
+        of every sample are the same bytes at batch_size 1, 7 and 128."""
+        student = micro_student(head_kind, seed=64, k=12, classes=3, config=ROWS_CONFIG)
+        teacher = make_teacher(ROWS_CONFIG, 3, seed=60)
+        images = np.random.default_rng(62).random((40, 3, 16, 16))
+        runs = [[(rep.u.tobytes(), np.array([rep.o, rep.maxprob]).tobytes(), rep.predicted_class)
+                 for rep in score_samples(student, images, 5, batch_size=size,
+                                          baseline_model=teacher)]
+                for size in (1, 7, 128)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestAuc:

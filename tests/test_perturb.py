@@ -81,10 +81,9 @@ class TestPerturbEval:
 
 class TestAopc:
     def test_aopc_mean_drop(self):
-        curve = PerturbationCurve(steps=3, mean_logits=[2.0, 1.5, 1.0, 0.5],
-                                  region=2, policy="relevance")
+        curve = PerturbationCurve(mean_logits=[2.0, 1.5, 1.0, 0.5])
         assert curve.aopc() == pytest.approx((0.5 + 1.0 + 1.5) / 3)
 
     def test_aopc_empty_curve(self):
-        curve = PerturbationCurve(steps=0, mean_logits=[2.0], region=2, policy="random")
+        curve = PerturbationCurve(mean_logits=[2.0])
         assert curve.aopc() == 0.0
