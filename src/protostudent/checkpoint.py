@@ -8,10 +8,11 @@ ids/labels, and encoder configuration, so a load rebuilds the exact model.
 
 The CRC covers the header and the manifest as well as the payload, and is
 checked before the manifest is parsed, so an edited prototype label or
-tensor shape is rejected like a flipped payload bit. Version 1 files,
-whose CRC covered the payload only, are rejected. A save overwrites an
-existing file in place (`imagefiles.write_file`), so one cut short mixes
-new and old bytes, which the CRC rejects.
+tensor shape is rejected like a flipped payload bit. Version 1 files (CRC
+over the payload only) and version 2 files (an importance vector
+`store.m` where version 3 has birth stamps `store.born`) are rejected. A
+save overwrites an existing file in place (`imagefiles.write_file`), so
+one cut short mixes new and old bytes, which the CRC rejects.
 
 A file with a valid CRC is also checked against itself: encoder tensor
 shapes against the encoder configuration and, for students, the
@@ -34,7 +35,7 @@ from .replacement import PrototypeStore
 from .tensor import Tensor
 
 MAGIC = b"PBSN1"
-VERSION = 2
+VERSION = 3
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -151,7 +152,7 @@ def save_student(path, student: StudentModel):
     tensors["head.b"] = student.head.b.data
     if student.head.conv1d_w is not None:
         tensors["head.conv1d_w"] = student.head.conv1d_w.data
-    tensors["store.m"] = store.m_weights.data
+    tensors["store.born"] = store.born
     tensors["store.images"] = store.images
     _write(path, {"kind": "student",
                   "head_kind": student.head.kind,
@@ -176,7 +177,7 @@ def _check_student(manifest: dict, tensors: dict):
                                      f"expected {classes} rows (class_count)")
     counts = {"k": int(manifest["k"]), "prototype_ids": len(manifest["prototype_ids"]),
               "prototype_labels": len(labels), "store.images rows": len(tensors["store.images"]),
-              "store.m": tensors["store.m"].size, "head.w columns": w.shape[1]}
+              "store.born": tensors["store.born"].size, "head.w columns": w.shape[1]}
     if len(set(counts.values())) != 1:
         raise CorruptCheckpointError(f"prototype counts disagree: {counts}")
     bad = [c for c in labels if not 0 <= c < classes]
@@ -198,7 +199,7 @@ def load_student(path) -> StudentModel:
         store = PrototypeStore(ids=np.asarray(manifest["prototype_ids"], dtype=np.int64),
                                images=tensors["store.images"].copy(),
                                labels=np.asarray(manifest["prototype_labels"], dtype=np.int64),
-                               m_weights=Tensor(tensors["store.m"].copy(), requires_grad=True))
+                               born=tensors["store.born"].astype(np.int64))
         head = HeadModel(kind=manifest["head_kind"],
                          w=Tensor(tensors["head.w"].copy(), requires_grad=True),
                          b=Tensor(tensors["head.b"].copy(), requires_grad=True),

@@ -107,9 +107,15 @@ class RunConfig:
                      "image_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
-        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs", "steps"):
+        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs", "steps",
+                     "weight_decay", "lr_step_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
+        for name in ("teacher_lr", "lr_head", "lr_encoder", "lr_gamma"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, "must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum", "must be in [0, 1)")
         for name, values in (("kprime", self.kprime), ("sweep", self.sweep),
                              ("encoder_blocks", [v for b in self.encoder_blocks for v in b])):
             if any(v < 1 for v in values):

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 MAX_GRAD_NORM = 10.0   # the global gradient norm is clipped to this before each step
 
 
@@ -41,19 +39,13 @@ class SGD:
         sq = 0.0
         for g in self.groups:
             for p in g["params"]:
-                if p.grad is not None:
-                    sq += float(np.sum(p.grad * p.grad))
+                sq += float(np.sum(p.grad * p.grad))
         norm = np.sqrt(sq)
         clip = MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0
         for g in self.groups:
             lr = g["lr"] * self.scale
             for p in g["params"]:
-                grad = p.grad if p.grad is not None else np.zeros_like(p.data)
                 v = self._velocity[id(p)]
                 v *= self.momentum
-                v += clip * grad + self.weight_decay * p.data
+                v += clip * p.grad + self.weight_decay * p.data
                 p.data -= lr * v
-
-    def reset_velocity(self, param: Tensor, indices):
-        """Clear the momentum state of param at the given indices."""
-        self._velocity[id(param)][indices] = 0.0

@@ -42,11 +42,11 @@ def outlier_score(u: np.ndarray, k_prime: int) -> float:
     return float(1.0 - top.mean())
 
 
-def maxprob_score(model, images: np.ndarray) -> np.ndarray:
+def maxprob_score(model, images: np.ndarray, logits: np.ndarray | None = None) -> np.ndarray:
     """Negative probability of the predicted class per image of a batch
     [N,C,H,W]; higher is more anomalous. Works on any model exposing
-    predict_logits."""
-    logits = model.predict_logits(images)
+    predict_logits, or on the model's logits for those images when given."""
+    logits = model.predict_logits(images) if logits is None else logits
     with T.no_grad():
         probs = T.softmax(Tensor(logits), axis=-1).data
     return -probs.max(axis=-1)
@@ -83,14 +83,15 @@ def score_samples(student: StudentModel, images: np.ndarray, k_prime: int,
 
     The baseline max-probability score comes from baseline_model when
     given (typically the teacher, the non-prototype reference predictor),
-    otherwise from the student itself.
+    otherwise from the student's own logits.
     """
     reports = []
     for start in range(0, len(images), batch_size):
         chunk = images[start:start + batch_size]
         logits, rec = student.forward(chunk)
         u_all = rec.u
-        base = maxprob_score(baseline_model or student, chunk)
+        base = (maxprob_score(baseline_model, chunk) if baseline_model is not None
+                else maxprob_score(student, chunk, logits=logits.data))
         preds = logits.data.argmax(axis=1)
         for i in range(len(chunk)):
             reports.append(OutlierReport(u=u_all[i], o=outlier_score(u_all[i], k_prime),

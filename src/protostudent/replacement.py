@@ -2,13 +2,13 @@
 
 The train set S is partitioned into a prototype set P (class-balanced,
 |P| = K fixed) and a working set D. Each iteration masks out the p
-prototypes with the smallest importance weight and adds a masked-output
-cross-entropy to the objective; at the end of every epoch those p
-prototypes are swapped against class-matched random draws from D and
-their importance entries are reinitialized. Post-pruning finetuning is
-the same step loop with p = 0 over a fixed prototype set. The teacher's
-soft labels are computed on first draw: a row is encoded by the teacher
-only when a step first trains on it.
+oldest prototypes (lowest birth stamp: 0 for the initial draw, one past
+the newest for the slots a swap fills; ties by slot index) and adds a
+masked-output cross-entropy to the objective; at the end of every epoch
+those p prototypes are swapped against class-matched random draws from
+D. Post-pruning finetuning is the same step loop with p = 0 over a fixed
+prototype set. The teacher's soft labels are computed on first draw: a
+row is encoded by the teacher only when a step first trains on it.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from .losses import LossWeights
 from .optim import SGD
 from .tensor import DimensionError, Tensor
 
-M_INIT = 1.0
-
 
 class ParameterError(ValueError):
     """A count or fraction argument is outside its valid range."""
@@ -42,12 +40,12 @@ class PruningError(RuntimeError):
 
 @dataclass
 class PrototypeStore:
-    """Ordered prototype set with class labels, importance weights, and
-    cached feature maps."""
+    """Ordered prototype set with class labels, birth stamps, and cached
+    feature maps."""
     ids: np.ndarray            # [K] sample ids into the source train set
     images: np.ndarray         # [K, C0, H0, W0]
     labels: np.ndarray         # [K]
-    m_weights: Tensor          # [K] importance weights
+    born: np.ndarray           # [K] int birth stamps, the ranking key
     features: Tensor | None = None
 
     def __len__(self):
@@ -79,20 +77,15 @@ class ReplacementConfig:
         return p
 
 
-def lowest(m: np.ndarray, count: int) -> np.ndarray:
-    """Slots of the `count` smallest entries of m, smallest first, ties by
-    slot index. The one prototype ranking: the auxiliary mask, the swaps
-    and `prune` all read it."""
-    return np.argsort(m, kind="stable")[:count]
+def lowest(born: np.ndarray, count: int) -> np.ndarray:
+    """Slots of the `count` smallest entries of born, smallest first, ties
+    by slot index. The one prototype ranking: the auxiliary mask, the
+    swaps and `prune` all read it."""
+    return np.argsort(born, kind="stable")[:count]
 
 
 def masked_logits(z: Tensor, mask: np.ndarray, model: HeadModel) -> Tensor:
-    """Logits of the masked prototype activations: W (mask * z) + b.
-
-    The mask enters as a constant: the normalized-ReLU mask expression is
-    locally constant in the importance weights away from ties, so its
-    exact derivative there is zero and no gradient reaches them.
-    """
+    """Logits of the masked prototype activations: W (mask * z) + b."""
     if mask.shape[0] != z.shape[-1]:
         raise DimensionError(f"mask length {mask.shape[0]} != prototype count {z.shape[-1]}")
     return T.linear(T.mul(z, mask), model.w, model.b)
@@ -119,15 +112,15 @@ def init_store(images: np.ndarray, labels: np.ndarray, protos_per_class: int,
     store = PrototypeStore(ids=proto_ids,
                            images=np.asarray(images, dtype=np.float64)[proto_ids].copy(),
                            labels=labels[proto_ids].copy(),
-                           m_weights=Tensor(np.full(len(proto_ids), M_INIT), requires_grad=True))
+                           born=np.zeros(len(proto_ids), dtype=np.int64))
     return store, d_pools
 
 
 def _replace_lowest(store: PrototypeStore, d_pools: dict, images, labels,
-                    p: int, rng: np.random.Generator, opt: SGD | None) -> list:
-    """Swap the p lowest-importance prototypes against class-matched draws
-    from D; returns the swap log [(slot, out_id, in_id), ...]."""
-    slots = np.sort(lowest(store.m_weights.data, p))
+                    p: int, rng: np.random.Generator) -> list:
+    """Swap the p oldest prototypes against class-matched draws from D and
+    stamp the new ones; returns the swap log [(slot, out_id, in_id), ...]."""
+    slots = np.sort(lowest(store.born, p))
     by_class: dict = {}
     for slot in slots:
         by_class.setdefault(int(store.labels[slot]), []).append(int(slot))
@@ -151,9 +144,7 @@ def _replace_lowest(store: PrototypeStore, d_pools: dict, images, labels,
         store.ids[slot] = new_id
         store.images[slot] = images[new_id]
         store.labels[slot] = labels[new_id]
-        store.m_weights.data[slot] = M_INIT
-    if opt is not None:
-        opt.reset_velocity(store.m_weights, indices=slots)
+    store.born[slots] = store.born.max() + 1
     return swaps
 
 
@@ -163,9 +154,9 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
     """The step loop of training and of finetuning; returns log records.
 
     Each epoch draws `iterations` batches from D, the union of d_pools
-    (None: one pass). With p > 0 the p least important prototypes are
-    masked in the auxiliary branch and swapped out at the epoch's end;
-    with p = 0 the mask keeps every prototype and the store stays fixed.
+    (None: one pass). With p > 0 the p oldest prototypes are masked in
+    the auxiliary branch and swapped out at the epoch's end; with p = 0
+    the mask keeps every prototype and the store stays fixed.
     The teacher's soft labels are computed on first draw, one no-grad
     forward over the rows of a batch not seen before, so rows that no step
     draws (prototypes, rows left out by `iterations`) are never encoded.
@@ -173,7 +164,7 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
     enc, head, store = student.encoder, student.head, student.store
     k = len(store)
     opt = SGD([{"params": enc.params, "lr": config.lr_encoder},
-               {"params": head.params + [store.m_weights], "lr": config.lr_head}],
+               {"params": head.params, "lr": config.lr_head}],
               momentum=config.momentum, weight_decay=config.weight_decay,
               step_epochs=config.lr_step_epochs, gamma=config.lr_gamma)
     teacher_logits = np.empty((len(images), teacher.class_count))
@@ -200,11 +191,8 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             store.features = fp
             y, rec = head_forward(fx, store, head)
             y_pred = y.data.argmax(axis=1)
-            tau, mask = None, np.ones(k)
-            if p > 0:
-                masked = lowest(store.m_weights.data, p)
-                mask[masked] = 0.0
-                tau = float(store.m_weights.data[masked[-1]])
+            mask = np.ones(k)
+            mask[lowest(store.born, p)] = 0.0
             y_mask = masked_logits(rec.z, mask, head)
             j_val = L.j_from_record(rec, labels[batch], store.labels)
             try:
@@ -217,15 +205,15 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             opt.step()
             head.clip_conv1d()
             log_records.append({"epoch": epoch, "iter": it, "loss": float(total.data),
-                                **parts, "tau": tau, "replaced": []})
+                                **parts, "replaced": []})
             # free this step's graph, and the conv columns it keeps, before
             # the next step's forward
             store.features = None
             del feats, fx, fp, y, rec, y_mask, j_val, total
             step += 1
         if p > 0:
-            swaps = _replace_lowest(store, d_pools, images, labels, p, rng, opt)
-            log_records.append({"epoch": epoch, "iter": None, "loss": None, "tau": None,
+            swaps = _replace_lowest(store, d_pools, images, labels, p, rng)
+            log_records.append({"epoch": epoch, "iter": None, "loss": None,
                                 "replaced": [{"slot": int(s), "out_id": int(o), "in_id": int(n)}
                                              for s, o, n in swaps]})
     student.refresh_store_features()
@@ -254,7 +242,7 @@ def train_student(teacher: TeacherModel, train_data, head_kind: str,
 
 def prune(student: StudentModel, fraction: float) -> StudentModel:
     """Drop round(fraction*K) prototypes together with their head columns
-    and importance entries: the lowest in the ranking, skipping a slot
+    and birth stamps: the lowest in the ranking, skipping a slot
     whose class would lose its last prototype, so every class keeps one.
     Returns an independent model ready for finetuning; the input model is
     untouched.
@@ -270,7 +258,7 @@ def prune(student: StudentModel, fraction: float) -> StudentModel:
     if drop > k - len(left):
         raise PruningError(f"pruning {drop} of K={k} would remove an entire class")
     removed = []
-    for slot in lowest(store.m_weights.data, k):
+    for slot in lowest(store.born, k):
         cls = int(store.labels[slot])
         if len(removed) < drop and left[cls] > 1:
             left[cls] -= 1
@@ -279,8 +267,7 @@ def prune(student: StudentModel, fraction: float) -> StudentModel:
     new_store = PrototypeStore(ids=store.ids[keep].copy(),
                                images=store.images[keep].copy(),
                                labels=store.labels[keep].copy(),
-                               m_weights=Tensor(store.m_weights.data[keep].copy(),
-                                                requires_grad=True))
+                               born=store.born[keep].copy())
     new_head = HeadModel(kind=student.head.kind,
                          w=Tensor(student.head.w.data[:, keep].copy(), requires_grad=True),
                          b=Tensor(student.head.b.data.copy(), requires_grad=True),

@@ -5,7 +5,6 @@ import pytest
 from protostudent.encoder import Encoder, EncoderConfig
 from protostudent.heads import HEAD_KINDS, StudentModel, make_head
 from protostudent.replacement import PrototypeStore
-from protostudent.tensor import Tensor
 
 
 MICRO_CONFIG = EncoderConfig(in_channels=2, blocks=((3, 2, 1),), input_size=(4, 4))
@@ -33,12 +32,11 @@ def micro_student(kind: str, seed: int = 0, k: int = 4, classes: int = 2,
         head.b.data = rng.uniform(-0.1, 0.1, size=head.b.shape)
     images = rng.random((k, config.in_channels, *config.input_size))
     labels = np.arange(k) % classes
-    # importance weights spaced apart: all-equal weights sit exactly on
-    # the mask's tie set, where one-sided finite differences are undefined
-    m = rng.permutation(np.linspace(0.5, 2.0, k))
+    # distinct birth stamps in shuffled slot order, so the ranking is not
+    # the slot order
+    born = rng.permutation(k)
     store = PrototypeStore(ids=np.arange(k), images=images,
-                           labels=labels.astype(np.int64),
-                           m_weights=Tensor(m, requires_grad=True))
+                           labels=labels.astype(np.int64), born=born)
     student = StudentModel(encoder=enc, head=head, store=store, class_count=classes)
     student.refresh_store_features()
     return student

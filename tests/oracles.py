@@ -12,7 +12,9 @@ matched cosines must reproduce them bit for bit (the aligned ones, which
 sum in another order, to 1e-14), the score to 1e-12. `finetune` is the
 post-pruning loop as it stood before training and finetuning shared one
 step loop (`replacement._fit`); the new loop must reproduce it bit for
-bit. `lrp_linear_eps` is the epsilon rule through one dense layer, the
+bit. `ImportanceWeights` is the importance vector the prototype ranking
+read before birth stamps; with weight decay on, the stamps must pick the
+same slots at every mask, swap and prune. `lrp_linear_eps` is the epsilon rule through one dense layer, the
 rule the relevance code writes out inline for the logit, similarity and
 pooling layers. `grad_check` is the central-difference reference every
 reverse-mode gradient is checked against (`EvaluationError` when the
@@ -256,7 +258,7 @@ def finetune(student: StudentModel, teacher: TeacherModel, train_data,
     proto_ids = set(int(i) for i in store.ids)
     d_ids = np.asarray([i for i in range(len(images)) if i not in proto_ids], dtype=np.int64)
     opt = SGD([{"params": student.encoder.params, "lr": config.lr_encoder},
-               {"params": student.head.params + [store.m_weights], "lr": config.lr_head}],
+               {"params": student.head.params, "lr": config.lr_head}],
               momentum=config.momentum, weight_decay=config.weight_decay,
               step_epochs=config.lr_step_epochs, gamma=config.lr_gamma)
     with T.no_grad():
@@ -284,9 +286,37 @@ def finetune(student: StudentModel, teacher: TeacherModel, train_data,
             opt.step()
             student.head.clip_conv1d()
             records.append({"epoch": epoch, "iter": it, "loss": float(total.data), **parts,
-                            "tau": None, "replaced": []})
+                            "replaced": []})
     student.refresh_store_features()
     return records
+
+
+# -- the importance vector before birth stamps -------------------------------
+
+class ImportanceWeights:
+    """The importance vector m the step loop ranked prototypes by before
+    the birth stamps (`PrototypeStore.born`), as a standalone recurrence.
+
+    m starts at 1.0 in every slot and gets no gradient: each step applies
+    SGD's momentum and weight-decay update at the head's scheduled rate,
+    and a swap resets a slot to 1.0 with zero velocity.
+    """
+
+    def __init__(self, k: int, config: ReplacementConfig):
+        self.config = config
+        self.m = np.ones(k)
+        self.velocity = np.zeros(k)
+
+    def step(self, epoch: int):
+        c = self.config
+        scale = c.lr_gamma ** (epoch // c.lr_step_epochs) if c.lr_step_epochs > 0 else 1.0
+        self.velocity *= c.momentum
+        self.velocity += c.weight_decay * self.m
+        self.m -= c.lr_head * scale * self.velocity
+
+    def swap(self, slots):
+        self.m[slots] = 1.0
+        self.velocity[slots] = 0.0
 
 
 class EvaluationError(RuntimeError):

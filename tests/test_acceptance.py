@@ -85,8 +85,8 @@ def students(task_data, teachers):
 
 class TestCriterion1GradientSuite:
     def test_total_loss_gradients_every_head(self):
-        """Objective gradients for parameters and importance weights agree
-        with central differences on 20 random micro-batches per head."""
+        """Objective gradients for the parameters agree with central
+        differences on 20 random micro-batches per head."""
         t0 = time.time()
         worst = {}
         for kind in HEAD_KINDS:
@@ -98,7 +98,7 @@ class TestCriterion1GradientSuite:
                 labels = rng.integers(0, student.class_count, size=2)
                 y_teacher = rng.standard_normal((2, student.class_count))
                 k = len(student.store)
-                params = student.params + [student.store.m_weights]
+                params = student.params
 
                 def fn():
                     feats = student.encoder.forward(
@@ -107,7 +107,7 @@ class TestCriterion1GradientSuite:
                     student.store.features = fp
                     logits, rec = head_forward(fx, student.store, student.head)
                     mask = np.ones(k)
-                    mask[lowest(student.store.m_weights.data, 1)] = 0.0
+                    mask[lowest(student.store.born, 1)] = 0.0
                     y_mask = masked_logits(rec.z, mask, student.head)
                     j = j_from_record(rec, labels, student.store.labels)
                     total, _ = total_loss(labels, logits, y_teacher,

@@ -58,17 +58,18 @@ class TestStudentRoundTrip:
         blob_len, = struct.unpack_from("<Q", data, len(MAGIC) + 4)
         manifest = json.loads(data[len(MAGIC) + 12:len(MAGIC) + 12 + blob_len])
         names = {t["name"] for t in manifest["tensors"]}
-        assert {"head.w", "head.b", "head.conv1d_w", "store.m", "store.images"} <= names
+        assert {"head.w", "head.b", "head.conv1d_w", "store.born", "store.images"} <= names
         assert any(n.startswith("encoder.block") for n in names)
         assert manifest["prototype_ids"] == [int(i) for i in student.store.ids]
         assert manifest["prototype_labels"] == [int(c) for c in student.store.labels]
 
     def test_store_contents_preserved(self, tmp_path):
         student = micro_student("II-B", seed=4)
-        student.store.m_weights.data[:] = [0.5, 1.5, 0.25, 2.0]
+        student.store.born[:] = [0, 7, 3, 7]
         save_student(tmp_path / "s.ckpt", student)
         back = load_student(tmp_path / "s.ckpt")
-        np.testing.assert_array_equal(back.store.m_weights.data, [0.5, 1.5, 0.25, 2.0])
+        np.testing.assert_array_equal(back.store.born, [0, 7, 3, 7])
+        assert back.store.born.dtype == np.int64
         np.testing.assert_array_equal(back.store.images, student.store.images)
 
 
@@ -191,6 +192,18 @@ class TestCorruption:
         struct.pack_into("<I", v1, len(MAGIC), 1)
         path.write_bytes(bytes(v1))
         with pytest.raises(CorruptCheckpointError, match="version 1"):
+            load_student(path)
+
+    def test_version_2_rejected_by_name(self, tmp_path):
+        """A version 2 file (an importance vector `store.m` where version 3
+        keeps the birth stamps) is refused, and the error names the
+        version."""
+        path = self._saved(tmp_path)
+        self._rewrite_manifest(path, lambda blob: blob.replace(b'"store.born"', b'"store.m"'))
+        data = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<I", data, len(MAGIC), 2)
+        self._reseal(path, bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="version 2"):
             load_student(path)
 
 

@@ -244,10 +244,23 @@ class TestBadConfigValues:
         ("train-teacher", "encoder_blocks", [[6, 0, 2], [12, 3, 2]]),
         ("train-teacher", "encoder_blocks", [[6, 3, 0], [12, 3, 2]]),
         ("train-teacher", "n_per_class", 0),
+        ("train-teacher", "teacher_lr", -0.05),
+        ("train-student", "lr_head", -0.05),
+        ("train-student", "lr_encoder", 0),
+        ("train-student", "weight_decay", -1),
+        ("train-student", "lr_step_epochs", -3),
+        ("train-student", "momentum", 1.5),
+        ("train-student", "momentum", 1.0),
+        ("train-student", "momentum", -0.1),
+        ("train-student", "lr_gamma", -1),
+        ("train-student", "lr_gamma", 0),
     ], ids=["region-0", "region-negative", "epochs-string", "kprime-int", "classes-float",
             "seed-null", "encoder_blocks-two-ints", "steps-negative", "dataset_family-unknown",
             "n_test_per_class-0", "image_size-0", "encoder_blocks-kernel-0",
-            "encoder_blocks-stride-0", "n_per_class-0"])
+            "encoder_blocks-stride-0", "n_per_class-0", "teacher_lr-negative",
+            "lr_head-negative", "lr_encoder-0", "weight_decay-negative",
+            "lr_step_epochs-negative", "momentum-1.5", "momentum-1", "momentum-negative",
+            "lr_gamma-negative", "lr_gamma-0"])
     def test_exit_2_names_field(self, pipeline, capsys, command, field, bad):
         root, _ = pipeline
         path = root / f"bad_{field}.json"

@@ -231,7 +231,7 @@ class TestHeadForward:
         store2 = PrototypeStore(ids=student.store.ids[perm],
                                 images=student.store.images[perm],
                                 labels=student.store.labels[perm],
-                                m_weights=Tensor(student.store.m_weights.data[perm]))
+                                born=student.store.born[perm])
         head2 = HeadModel(kind=head_kind,
                           w=Tensor(student.head.w.data[:, perm]),
                           b=Tensor(student.head.b.data.copy()),

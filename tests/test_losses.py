@@ -224,15 +224,15 @@ class TestTotalLoss:
 
 class TestObjectiveGradients:
     def test_total_loss_gradients_per_head(self, head_kind):
-        """Full objective gradient check for parameters and importance
-        weights on a micro batch."""
+        """Full objective gradient check for the parameters on a micro
+        batch."""
         student = micro_student(head_kind, seed=20)
         k = len(student.store)
         rng = np.random.default_rng(21)
         x = rng.random((2, 2, 4, 4))
         labels = np.array([0, 1])
         y_teacher = rng.standard_normal((2, student.class_count))
-        params = student.params + [student.store.m_weights]
+        params = student.params
 
         def fn():
             feats = student.encoder.forward(Tensor(np.concatenate([x, student.store.images])))
@@ -240,7 +240,7 @@ class TestObjectiveGradients:
             student.store.features = fp
             logits, rec = head_forward(fx, student.store, student.head)
             mask = np.ones(k)
-            mask[lowest(student.store.m_weights.data, 1)] = 0.0
+            mask[lowest(student.store.born, 1)] = 0.0
             y_mask = masked_logits(rec.z, mask, student.head)
             j = j_from_record(rec, labels, student.store.labels)
             total, _ = total_loss(labels, logits, y_teacher,

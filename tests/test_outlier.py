@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from protostudent.encoder import make_teacher
+from protostudent.heads import StudentModel
 from protostudent.outlier import MetricError, auc, maxprob_score, outlier_score, score_samples
 from protostudent.replacement import ParameterError
 from protostudent.tensor import DimensionError
@@ -146,6 +147,24 @@ class TestScoreSamples:
                                           baseline_model=teacher)]
                 for size in (1, 7, 128)]
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_student_baseline_runs_one_forward_per_batch(self, monkeypatch):
+        """Without a baseline model, maxprob comes from the student forward
+        that gives u: 10 images at batch_size 5 make 2 forwards, and the
+        maxprob bytes equal `maxprob_score` on the student."""
+        student = micro_student("II-B", seed=65, k=6, classes=3)
+        images = np.random.default_rng(66).random((10, 2, 4, 4))
+        want = [maxprob_score(student, images[i:i + 5]) for i in (0, 5)]
+        calls, forward = [], StudentModel.forward
+
+        def counted(self, x):
+            calls.append(len(x))
+            return forward(self, x)
+
+        monkeypatch.setattr(StudentModel, "forward", counted)
+        reps = score_samples(student, images, 2, batch_size=5)
+        assert calls == [5, 5]
+        assert np.array([r.maxprob for r in reps]).tobytes() == np.concatenate(want).tobytes()
 
 
 class TestAuc:

@@ -1,4 +1,5 @@
 """Masking, swap bookkeeping, training-loop invariants, and pruning."""
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from protostudent import tensor as T
 from protostudent.encoder import Encoder, EncoderConfig, TeacherModel, train_teacher
 from protostudent.heads import head_forward
 from protostudent.losses import LossWeights
+from protostudent.optim import SGD
 from protostudent.replacement import (ParameterError, PruningError,
                                       ReplacementConfig, ReplacementError,
                                       finetune, init_store, lowest,
@@ -22,7 +24,7 @@ from conftest import micro_student
 
 
 def threshold(m, p):
-    """The training log's tau: the p-th smallest m, last of the ranking."""
+    """The p-th smallest entry of m: the last slot of the ranking."""
     return m[lowest(m, p)[-1]]
 
 
@@ -273,7 +275,7 @@ class TestTrainStudent:
         s2, st2, _ = train_student(teacher, (imgs, labs), "II-A", cfg,
                                    LossWeights(), protos_per_class=2)
         np.testing.assert_array_equal(st1.ids, st2.ids)
-        np.testing.assert_array_equal(st1.m_weights.data, st2.m_weights.data)
+        np.testing.assert_array_equal(st1.born, st2.born)
         for p1, p2 in zip(s1.params, s2.params):
             np.testing.assert_array_equal(p1.data, p2.data)
 
@@ -300,21 +302,20 @@ class TestTrainStudent:
             assert proto_ids.issubset(all_ids)
         assert proto_ids == set(int(i) for i in store.ids)
 
-    def test_m_reinit_and_bitwise_preservation(self, tiny_teacher):
+    def test_swap_stamps_replaced_slots(self, tiny_teacher):
+        """The n-th swap stamps the slots it fills with n; slots never
+        swapped keep the initial draw's 0."""
         teacher, imgs, labs = tiny_teacher
-        cfg = ReplacementConfig(p_fraction=0.34, epochs=1, seed=4, batch_size=16)
+        cfg = ReplacementConfig(p_fraction=0.34, epochs=2, seed=4, batch_size=16)
         student, store, log = train_student(teacher, (imgs, labs), "I", cfg,
                                             LossWeights(), protos_per_class=2)
-        swaps = [r for r in log if r.get("replaced")][-1]["replaced"]
-        replaced_slots = {s["slot"] for s in swaps}
-        assert len(replaced_slots) == 2  # round(0.34 * 6)
-        for slot in range(len(store)):
-            if slot in replaced_slots:
-                assert store.m_weights.data[slot] == 1.0
-        # untouched entries all carry the same post-decay value, not 1.0
-        untouched = [store.m_weights.data[s] for s in range(len(store))
-                     if s not in replaced_slots]
-        assert len(set(untouched)) == 1 and untouched[0] != 1.0
+        want = np.zeros(len(store), dtype=np.int64)
+        swaps = [r["replaced"] for r in log if r.get("replaced")]
+        assert [len(s) for s in swaps] == [2, 2]  # round(0.34 * 6)
+        for n, swap in enumerate(swaps, start=1):
+            want[[s["slot"] for s in swap]] = n
+        np.testing.assert_array_equal(store.born, want)
+        assert store.born.dtype == np.int64 and (want == 0).sum() == 2
 
     def test_aux_branch_inert_at_lambda2_zero(self, tiny_teacher):
         """With masking weight zero and replacement off, every step's loss
@@ -333,7 +334,7 @@ class TestTrainStudent:
 
         batch = np.arange(0, len(imgs), 5)
         y_teacher = teacher.forward(Tensor(imgs[batch])).data
-        params = student.params + [store.m_weights]
+        params = student.params
 
         def grads(masked):
             feats = student.encoder.forward(Tensor(np.concatenate([imgs[batch], store.images])))
@@ -362,6 +363,95 @@ class TestTrainStudent:
                           LossWeights(), protos_per_class=8)
 
 
+class TestBirthStampRanking:
+    @pytest.mark.parametrize("protos,fraction", [(2, 0.34), (4, 0.25)])
+    def test_every_slot_swapped_within_k_over_p_epochs_at_zero_decay(
+            self, tiny_teacher, protos, fraction):
+        """Weight decay 0 does not freeze the ranking on the first slots:
+        every slot is swapped within ceil(K / p) epochs."""
+        teacher, imgs, labs = tiny_teacher
+        k = 3 * protos
+        p = ReplacementConfig(p_fraction=fraction).p_count(k)
+        cfg = ReplacementConfig(p_fraction=fraction, epochs=-(-k // p), seed=13,
+                                batch_size=16, weight_decay=0.0)
+        _, _, log = train_student(teacher, (imgs, labs), "I", cfg, LossWeights(),
+                                  protos_per_class=protos)
+        swapped = {s["slot"] for r in log if r["iter"] is None for s in r["replaced"]}
+        assert swapped == set(range(k))
+
+    @pytest.mark.parametrize("kind", ["I", "III-B"])
+    def test_same_slots_as_importance_oracle(self, tiny_teacher, monkeypatch, kind):
+        """With weight decay on, the birth stamps pick the slots the
+        importance vector picked (`oracles.ImportanceWeights`) at every
+        step's mask, every swap and the prune, over a schedule with a
+        step decay."""
+        teacher, imgs, labs = tiny_teacher
+        masks, aux_logits = [], R.masked_logits
+
+        def spy(z, mask, model):
+            masks.append(mask.copy())
+            return aux_logits(z, mask, model)
+
+        monkeypatch.setattr(R, "masked_logits", spy)
+        cfg = ReplacementConfig(p_fraction=0.25, epochs=5, seed=12, batch_size=16,
+                                lr_head=0.05, weight_decay=1e-3, lr_step_epochs=2,
+                                lr_gamma=0.5)
+        student, store, log = train_student(teacher, (imgs, labs), kind, cfg,
+                                            LossWeights(), protos_per_class=4)
+        k, p = len(store), cfg.p_count(len(store))
+        oracle = oracles.ImportanceWeights(k, cfg)
+        steps = iter(masks)
+        for record in log:
+            if record["iter"] is not None:
+                want = np.ones(k)
+                want[lowest(oracle.m, p)] = 0.0
+                np.testing.assert_array_equal(next(steps), want)
+                oracle.step(record["epoch"])
+            else:
+                slots = np.sort(lowest(oracle.m, p))
+                assert sorted(s["slot"] for s in record["replaced"]) == slots.tolist()
+                oracle.swap(slots)
+        assert next(steps, None) is None and len(masks) == 5 * 4
+        by_oracle = dataclasses.replace(
+            student, store=dataclasses.replace(store, born=oracle.m.copy()))
+        np.testing.assert_array_equal(prune(student, 0.34).store.ids,
+                                      prune(by_oracle, 0.34).store.ids)
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """Counts `SGD.step` calls; a step that finds a parameter without a
+    gradient fails the test."""
+    steps = []
+    step = SGD.step
+
+    def checked(self):
+        params = [prm for g in self.groups for prm in g["params"]]
+        assert all(prm.grad is not None for prm in params), \
+            [tuple(prm.shape) for prm in params if prm.grad is None]
+        steps.append(len(params))
+        return step(self)
+
+    monkeypatch.setattr(SGD, "step", checked)
+    return steps
+
+
+class TestEverySteppedParameterHasAGradient:
+    def test_teacher_step(self, stepped):
+        imgs, labs = shapes_data()
+        train_teacher((imgs, labs), epochs=1, lr=0.05, seed=0, batch_size=16, config=SMALL)
+        assert len(stepped) == 5   # 72 samples, batches of 16
+
+    @pytest.mark.parametrize("p_fraction", [0.34, 0.0])
+    def test_fit_steps(self, tiny_teacher, stepped, head_kind, p_fraction):
+        teacher, imgs, labs = tiny_teacher
+        cfg = ReplacementConfig(p_fraction=p_fraction, epochs=1, iterations=2, seed=14,
+                                batch_size=16)
+        train_student(teacher, (imgs, labs), head_kind, cfg, LossWeights(),
+                      protos_per_class=2)
+        assert len(stepped) == 2
+
+
 class TestPrune:
     def _trained(self, tiny_teacher, kind="I"):
         teacher, imgs, labs = tiny_teacher
@@ -374,7 +464,7 @@ class TestPrune:
         k = len(store)
         pruned = prune(student, 0.25)
         removed = set(int(i) for i in store.ids) - set(int(i) for i in pruned.store.ids)
-        order = np.argsort(store.m_weights.data, kind="stable")
+        order = np.argsort(store.born, kind="stable")
         want = {int(store.ids[i]) for i in order[:k // 4]}
         assert removed == want
 
@@ -409,10 +499,10 @@ class TestPrune:
         """With one whole class at the bottom of the ranking, the walk drops
         all of it but its highest slot, then the next lowest of the rest."""
         (student, store, _), _, _ = self._trained(tiny_teacher)
-        student.store.m_weights.data[store.labels == 0] = -10.0
+        student.store.born[store.labels == 0] = -10
         pruned = prune(student, 0.34)   # round(4.08) = 4 of K = 12
         class0 = np.flatnonzero(store.labels == 0)
-        rest = [int(i) for i in lowest(store.m_weights.data, 12) if store.labels[i] != 0]
+        rest = [int(i) for i in lowest(store.born, 12) if store.labels[i] != 0]
         removed = set(store.ids.tolist()) - set(pruned.store.ids.tolist())
         assert removed == {int(store.ids[i]) for i in [*class0[:3], rest[0]]}
         assert set(pruned.store.labels.tolist()) == set(store.labels.tolist())
@@ -436,7 +526,8 @@ class TestPrune:
     @pytest.mark.parametrize("kind", ["I", "III-B"])
     def test_finetune_matches_reference_loop(self, tiny_teacher, kind):
         """The shared step loop with p = 0 reproduces the standalone
-        finetuning loop: same log records, bit-equal parameters and m."""
+        finetuning loop: same log records, bit-equal parameters and
+        birth stamps."""
         (student, _, _), imgs, labs = self._trained(tiny_teacher, kind)
         teacher, _, _ = tiny_teacher
         cfg = ReplacementConfig(p_fraction=0.25, epochs=1, seed=9, batch_size=16)
@@ -445,22 +536,23 @@ class TestPrune:
         want = oracles.finetune(ref, teacher, (imgs, labs), 2, cfg, LossWeights())
         assert len(log) == 2 * 4  # 63 samples in D, batches of 16
         assert log == want
-        for a, b in zip(ours.params + [ours.store.m_weights, ours.store.features],
-                        ref.params + [ref.store.m_weights, ref.store.features]):
+        for a, b in zip(ours.params + [ours.store.features],
+                        ref.params + [ref.store.features]):
             np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(ours.store.born, ref.store.born)
 
 
 @st.composite
 def _prune_cases(draw):
-    """Importance weights with frequent ties, a class layout in which every
+    """Birth stamps with frequent ties, a class layout in which every
     class holds at least one slot, and a prune count in [1, K)."""
     k = draw(st.integers(2, 12))
     classes = draw(st.integers(1, k))
     labels = np.asarray(draw(st.permutations(
         list(range(classes)) + draw(st.lists(st.integers(0, classes - 1),
                                              min_size=k - classes, max_size=k - classes)))))
-    m = np.asarray(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=np.float64)
-    return labels, m, draw(st.integers(1, k - 1))
+    born = np.asarray(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=np.int64)
+    return labels, born, draw(st.integers(1, k - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,11 +561,11 @@ def test_prune_keeps_every_class_and_otherwise_drops_the_lowest(case):
     """`prune` never removes a class, refuses only a count above K minus
     the class count, and drops exactly the `drop` lowest-ranked slots
     whenever those leave every class a prototype."""
-    labels, m, drop = case
+    labels, born, drop = case
     k = len(labels)
     student = micro_student("I", seed=drop, k=k, classes=int(labels.max()) + 1)
     student.store.labels[:] = labels
-    student.store.m_weights.data[:] = m
+    student.store.born[:] = born
     if drop > k - len(set(labels.tolist())):
         with pytest.raises(PruningError):
             prune(student, drop / k)
@@ -481,6 +573,6 @@ def test_prune_keeps_every_class_and_otherwise_drops_the_lowest(case):
     kept = prune(student, drop / k).store
     assert len(kept) == k - drop
     assert set(kept.labels.tolist()) == set(labels.tolist())
-    lowest_kept = np.setdiff1d(np.arange(k), np.argsort(m, kind="stable")[:drop])
+    lowest_kept = np.setdiff1d(np.arange(k), np.argsort(born, kind="stable")[:drop])
     if set(labels[lowest_kept].tolist()) == set(labels.tolist()):
         np.testing.assert_array_equal(kept.ids, lowest_kept)
