@@ -154,24 +154,22 @@ def cmd_outlier_eval(cfg: RunConfig) -> int:
     outliers = _outlier_images(cfg, test)
     images = np.concatenate([test.images, outliers])
     labels = np.arange(len(images)) >= len(test.images)
-    primary = int(cfg.kprime[-1] if len(cfg.kprime) else k)
-    reports = O.score_samples(student, images, primary, baseline_model=baseline)
-    rows = "".join(f"{i},{'outlier' if labels[i] else 'normal'},{rep.o!r},{rep.maxprob!r},"
-                   f"{rep.predicted_class}\n" for i, rep in enumerate(reports))
-    write_file(out / "outlier_scores.csv", ("sample_id,label,o,maxprob,pred_class\n" + rows).encode())
-    u_matrix = np.stack([rep.u for rep in reports])
-    maxprob = np.asarray([rep.maxprob for rep in reports])
-    summary = {
-        "setup": cfg.outlier_setup,
-        "auc_o_top1": O.auc([O.outlier_score(u, 1) for u in u_matrix], labels),
-        "auc_o_topk": O.auc([O.outlier_score(u, primary) for u in u_matrix], labels),
-        "auc_o_all": O.auc([O.outlier_score(u, k) for u in u_matrix], labels),
-        "auc_maxprob": O.auc(maxprob, labels),
-        "kprime": primary,
-    }
+    reports = O.score_samples(student, images, k, baseline_model=baseline)
+    top = {kp: [O.outlier_score(rep.u, kp) for rep in reports] for kp in cfg.kprime}
+    lines = [["sample_id", "label", *(f"o_top{kp}" for kp in top), "maxprob", "pred_class"]]
+    for i, rep in enumerate(reports):
+        lines.append([str(i), "outlier" if labels[i] else "normal",
+                      *(repr(o[i]) for o in top.values()), repr(rep.maxprob),
+                      str(rep.predicted_class)])
+    write_file(out / "outlier_scores.csv", "".join(",".join(ln) + "\n" for ln in lines).encode())
+    summary = {"setup": cfg.outlier_setup, "kprime": cfg.kprime,
+               "auc_o_all": O.auc([rep.o for rep in reports], labels),
+               "auc_maxprob": O.auc([rep.maxprob for rep in reports], labels),
+               **{f"auc_o_top{kp}": O.auc(o, labels) for kp, o in top.items()}}
     _write_json(out / "outlier_summary.json", summary)
-    print(f"outlier setup {cfg.outlier_setup}: o-AUC(top-{primary}) {summary['auc_o_topk']:.3f}, "
-          f"maxprob AUC {summary['auc_maxprob']:.3f}")
+    print(f"outlier setup {cfg.outlier_setup}: o-AUC "
+          + "".join(f"top-{kp} {summary[f'auc_o_top{kp}']:.3f}, " for kp in top)
+          + f"all {summary['auc_o_all']:.3f}; maxprob AUC {summary['auc_maxprob']:.3f}")
     return 0
 
 
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except TrainingError as err:
+    except (TrainingError, X.PropagationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (ConfigError, ParameterError, PruningError, ReplacementError, ConfigurationError,

@@ -124,9 +124,6 @@ class SyntheticDataset:
     images: np.ndarray        # [N,3,H,W] in [0,1]
     labels: np.ndarray        # [N]
 
-    def __len__(self):
-        return len(self.labels)
-
 
 def gen_dataset(seed: int, n_per_class: int, classes: int, size=(32, 32),
                 family: str = "primary") -> SyntheticDataset:

@@ -177,7 +177,7 @@ def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
         config = EncoderConfig(in_channels=images.shape[1],
                                input_size=images.shape[2:])
     teacher = make_teacher(config, classes, seed=seed)
-    opt = SGD([{"params": teacher.params, "lr": lr}], step_epochs=max(epochs, 1))
+    opt = SGD([{"params": teacher.params, "lr": lr}])
     rng = np.random.default_rng([seed, 0x7E])
     step = 0
     for epoch in range(epochs):

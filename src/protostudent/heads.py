@@ -209,10 +209,6 @@ class StudentModel:
     store: object
     class_count: int
 
-    @property
-    def params(self) -> list:
-        return self.encoder.params + self.head.params
-
     def refresh_store_features(self):
         """Recompute prototype feature maps through the current encoder."""
         with T.no_grad():

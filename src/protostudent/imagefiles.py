@@ -4,6 +4,7 @@ range keeps small relevance magnitudes through quantization."""
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -12,25 +13,8 @@ class ImageFormatError(ValueError):
     """File is not a well-formed 16-bit PGM."""
 
 
-def _read_header(data: bytes, magic: bytes) -> tuple:
-    if not data.startswith(magic):
-        raise ImageFormatError(f"expected {magic.decode()} header")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ImageFormatError("truncated header")
-        fields.append(int(data[start:pos]))
-    return fields[0], fields[1], fields[2], pos + 1
+# write_pgm16's header: P5, width, height, maxval, one whitespace byte
+_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def write_file(path, data: bytes):
@@ -65,7 +49,11 @@ def write_pgm16(path, image: np.ndarray) -> bytes:
 def read_pgm16(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    w, h, maxval, off = _read_header(data, b"P5")
+    header = _HEADER.match(data)
+    if header is None:
+        raise ImageFormatError("expected a P5 header: width, height and maxval")
+    w, h, maxval = map(int, header.groups())
+    off = header.end()
     if maxval != 65535:
         raise ImageFormatError(f"unsupported P5 maxval {maxval}")
     if len(data) - off < w * h * 2:

@@ -62,17 +62,12 @@ def auc(scores, labels) -> float:
     if n_out == 0 or n_norm == 0:
         raise MetricError("AUC needs both normal and outlier samples")
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # each tie run (NaN != NaN: one run per NaN) ranks at its mean position
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    size = np.diff(np.r_[start, len(ordered)])
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    rank_pos = 1.0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (rank_pos + (rank_pos + (j - i))) / 2.0
-        rank_pos += j - i + 1
-        i = j + 1
+    ranks[order] = np.repeat((2 * start + size + 1) / 2.0, size)
     r_out = ranks[labels].sum()
     return float((r_out - n_out * (n_out + 1) / 2.0) / (n_out * n_norm))
 

@@ -22,7 +22,10 @@ function value is non-finite), and `encode` the graph-free
 encoder forward the tests take feature maps from. `conv2d_param_grads`
 is the conv kernel and bias gradient as it stood before `T.conv2d` kept
 its forward's im2col columns: each tile's columns gathered again in the
-backward; the kept columns must reproduce it bit for bit.
+backward; the kept columns must reproduce it bit for bit. `auc_tie_walk`
+is the AUC as it stood before its tie ranks became one vector pass: a
+loop that walks each run of equal sorted scores; `outlier.auc` must
+reproduce it bit for bit, NaN scores included.
 """
 from __future__ import annotations
 
@@ -317,6 +320,31 @@ class ImportanceWeights:
     def swap(self, slots):
         self.m[slots] = 1.0
         self.velocity[slots] = 0.0
+
+
+# -- the AUC before vectorized tie ranks --------------------------------------
+
+def auc_tie_walk(scores, labels) -> float:
+    """Mann-Whitney AUC whose tie ranks come from a loop over the runs of
+    equal sorted scores (a NaN equals nothing, so it is a run of its own)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_out = int(labels.sum())
+    n_norm = len(labels) - n_out
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    rank_pos = 1.0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (rank_pos + (rank_pos + (j - i))) / 2.0
+        rank_pos += j - i + 1
+        i = j + 1
+    r_out = ranks[labels].sum()
+    return float((r_out - n_out * (n_out + 1) / 2.0) / (n_out * n_norm))
 
 
 class EvaluationError(RuntimeError):

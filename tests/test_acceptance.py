@@ -98,7 +98,7 @@ class TestCriterion1GradientSuite:
                 labels = rng.integers(0, student.class_count, size=2)
                 y_teacher = rng.standard_normal((2, student.class_count))
                 k = len(student.store)
-                params = student.params
+                params = student.encoder.params + student.head.params
 
                 def fn():
                     feats = student.encoder.forward(

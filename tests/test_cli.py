@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from protostudent.checkpoint import load_student
+from protostudent.checkpoint import load_student, save_student
 from protostudent.cli import main
 from protostudent.config import ConfigError, RunConfig
 
@@ -183,10 +183,25 @@ class TestPipelineArtifacts:
         assert main(["outlier-eval", "--config", str(path), "--setup", "C"]) == 0
         out = root / "out"
         rows = (out / "outlier_scores.csv").read_text().strip().splitlines()
-        assert rows[0] == "sample_id,label,o,maxprob,pred_class"
+        assert rows[0] == "sample_id,label,o_top1,o_top5,maxprob,pred_class"
         assert len(rows) == 1 + 2 * 18
         summary = json.loads((out / "outlier_summary.json").read_text())
-        assert {"auc_o_top1", "auc_o_topk", "auc_o_all", "auc_maxprob"} <= set(summary)
+        assert {"auc_o_top1", "auc_o_top5", "auc_o_all", "auc_maxprob"} <= set(summary)
+
+    @pytest.mark.parametrize("kprime,want", [("1,5", [1, 5]), ("3", [3])])
+    def test_outlier_eval_one_auc_and_column_per_kprime(self, pipeline, kprime, want):
+        """Every kprime entry k' gets its own `auc_o_top{k'}` and `o_top{k'}`
+        column, and no other top-k' AUC is written."""
+        root, path = pipeline
+        assert main(["outlier-eval", "--config", str(path), "--kprime", kprime]) == 0
+        out = root / "out"
+        summary = json.loads((out / "outlier_summary.json").read_text())
+        assert sorted(key for key in summary if key.startswith("auc_o_top")) == \
+            [f"auc_o_top{k}" for k in want]
+        assert summary["kprime"] == want
+        header = (out / "outlier_scores.csv").read_text().splitlines()[0]
+        assert header == ",".join(["sample_id", "label", *(f"o_top{k}" for k in want),
+                                   "maxprob", "pred_class"])
 
     def test_perturb_eval_curves(self, pipeline):
         root, path = pipeline
@@ -254,13 +269,15 @@ class TestBadConfigValues:
         ("train-student", "momentum", -0.1),
         ("train-student", "lr_gamma", -1),
         ("train-student", "lr_gamma", 0),
+        ("explain", "lrp_epsilon", -0.5),
+        ("outlier-eval", "stroke_count", 0),
     ], ids=["region-0", "region-negative", "epochs-string", "kprime-int", "classes-float",
             "seed-null", "encoder_blocks-two-ints", "steps-negative", "dataset_family-unknown",
             "n_test_per_class-0", "image_size-0", "encoder_blocks-kernel-0",
             "encoder_blocks-stride-0", "n_per_class-0", "teacher_lr-negative",
             "lr_head-negative", "lr_encoder-0", "weight_decay-negative",
             "lr_step_epochs-negative", "momentum-1.5", "momentum-1", "momentum-negative",
-            "lr_gamma-negative", "lr_gamma-0"])
+            "lr_gamma-negative", "lr_gamma-0", "lrp_epsilon-negative", "stroke_count-0"])
     def test_exit_2_names_field(self, pipeline, capsys, command, field, bad):
         root, _ = pipeline
         path = root / f"bad_{field}.json"
@@ -270,6 +287,21 @@ class TestBadConfigValues:
         err = capsys.readouterr().err.strip()
         assert f"'{field}'" in err and len(err.splitlines()) == 1
         assert _digests(root / "out") == before
+
+
+@pytest.mark.parametrize("command", ["explain", "perturb-eval"])
+def test_non_finite_student_exit_3_one_line(pipeline, tmp_path, capsys, command):
+    """A student whose logits are NaN is a numerical failure: exit 3 with
+    one stderr line, not a traceback."""
+    root, _ = pipeline
+    student = load_student(root / "out" / "student.ckpt")
+    student.head.w.data[:] = np.nan
+    path = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    save_student(tmp_path / "out" / "student.ckpt", student)
+    assert main([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert "non-finite" in err and len(err.splitlines()) == 1
 
 
 def test_prune_keeps_a_class_that_swaps_put_at_the_bottom(tmp_path):

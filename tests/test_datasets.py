@@ -22,7 +22,7 @@ class TestGenDataset:
 
     def test_empty_per_class(self):
         ds = gen_dataset(0, 0, 2)
-        assert len(ds) == 0
+        assert len(ds.labels) == 0
 
     def test_balanced_and_in_range(self):
         ds = gen_dataset(1, 10, 4)
@@ -131,6 +131,24 @@ class TestImageFiles:
         (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n65535\nshort")
         with pytest.raises(ImageFormatError):
             read_pgm16(tmp_path / "bad.pgm")
+
+    @pytest.mark.parametrize("header", [b"P5 3 2 65535 ", b"P5\n3\n2\n65535\n",
+                                        b"P5\t3  2\r\n65535\n"])
+    def test_whitespace_separated_headers_parse(self, tmp_path, header):
+        words = (np.arange(6) * 10000).astype(">u2")
+        (tmp_path / "x.pgm").write_bytes(header + words.tobytes())
+        np.testing.assert_array_equal(read_pgm16(tmp_path / "x.pgm"),
+                                      words.reshape(2, 3) / 65535.0)
+
+    @pytest.mark.parametrize("header", [b"P5\n# made by hand\n3 2\n65535\n",
+                                        b"P5 3 2 # note\n65535\n", b"P6\n3 2\n65535\n",
+                                        b"P5\n3 2\n65535", b"P5\n-3 2\n65535\n"])
+    def test_header_outside_the_written_form_rejected(self, tmp_path, header):
+        """A comment, another magic, a missing whitespace byte after maxval
+        or a signed size is not the header `write_pgm16` writes."""
+        (tmp_path / "x.pgm").write_bytes(header + bytes(12))
+        with pytest.raises(ImageFormatError):
+            read_pgm16(tmp_path / "x.pgm")
 
 
 def _open_fds() -> set:

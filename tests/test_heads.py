@@ -338,7 +338,7 @@ class TestHeadGradients:
         student = micro_student(head_kind, seed=12)
         rng = np.random.default_rng(13)
         x = rng.random((2, 2, 4, 4))
-        params = student.params
+        params = student.encoder.params + student.head.params
 
         def fn():
             feats = student.encoder.forward(Tensor(np.concatenate([x, student.store.images])))
@@ -365,7 +365,7 @@ class TestHeadGradients:
         student.store.features = student.encoder.forward(Tensor(student.store.images))
         logits, _ = head_forward(student.encoder.forward(Tensor(x)), student.store, student.head)
         T.tsum(T.square(logits)).backward()
-        assert all(p.grad is not None for p in student.params)
+        assert all(p.grad is not None for p in student.encoder.params + student.head.params)
 
     @pytest.mark.parametrize("kind,allpairs_calls", [("II-A", 0), ("III-A", 0), ("III-C", 1)])
     def test_aligned_reads_take_no_allpairs_product(self, monkeypatch, kind, allpairs_calls):
@@ -391,4 +391,4 @@ class TestHeadGradients:
             assert len(calls) == forwards * allpairs_calls
             T.tsum(T.square(logits)).backward()
         assert len(calls) == 2 * allpairs_calls
-        assert all(p.grad is not None for p in student.params)
+        assert all(p.grad is not None for p in student.encoder.params + student.head.params)

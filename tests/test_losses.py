@@ -232,7 +232,7 @@ class TestObjectiveGradients:
         x = rng.random((2, 2, 4, 4))
         labels = np.array([0, 1])
         y_teacher = rng.standard_normal((2, student.class_count))
-        params = student.params
+        params = student.encoder.params + student.head.params
 
         def fn():
             feats = student.encoder.forward(Tensor(np.concatenate([x, student.store.images])))

@@ -2,6 +2,7 @@
 baseline, and the AUC implementation against a brute-force oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protostudent.encoder import make_teacher
 from protostudent.heads import StudentModel
@@ -10,7 +11,7 @@ from protostudent.replacement import ParameterError
 from protostudent.tensor import DimensionError
 
 from conftest import ROWS_CONFIG, micro_student
-from oracles import encode
+from oracles import auc_tie_walk, encode
 
 
 def auc_pairs_oracle(scores, labels):
@@ -193,3 +194,20 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert auc(scores, labels) == auc_pairs_oracle(scores, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf]),
+                              st.booleans()), min_size=2, max_size=60),
+           st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_tie_walk_oracle(self, pairs, seed):
+        """Scores drawn from a few values (ties, signed zeros, NaN, inf),
+        half of them perturbed off the grid: the vector tie ranks give the
+        loop's AUC bit for bit."""
+        scores = np.array([v for v, _ in pairs])
+        labels = np.array([b for _, b in pairs])
+        labels[:2] = [False, True]
+        rng = np.random.default_rng(seed)
+        jitter = rng.random(len(scores)) < 0.5
+        scores[jitter] += rng.random(int(jitter.sum()))
+        got, want = auc(scores, labels), auc_tie_walk(scores, labels)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

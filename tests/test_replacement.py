@@ -276,7 +276,8 @@ class TestTrainStudent:
                                    LossWeights(), protos_per_class=2)
         np.testing.assert_array_equal(st1.ids, st2.ids)
         np.testing.assert_array_equal(st1.born, st2.born)
-        for p1, p2 in zip(s1.params, s2.params):
+        for p1, p2 in zip(s1.encoder.params + s1.head.params,
+                          s2.encoder.params + s2.head.params):
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_partition_and_balance_after_every_epoch(self, tiny_teacher):
@@ -334,7 +335,7 @@ class TestTrainStudent:
 
         batch = np.arange(0, len(imgs), 5)
         y_teacher = teacher.forward(Tensor(imgs[batch])).data
-        params = student.params
+        params = student.encoder.params + student.head.params
 
         def grads(masked):
             feats = student.encoder.forward(Tensor(np.concatenate([imgs[batch], store.images])))
@@ -536,8 +537,8 @@ class TestPrune:
         want = oracles.finetune(ref, teacher, (imgs, labs), 2, cfg, LossWeights())
         assert len(log) == 2 * 4  # 63 samples in D, batches of 16
         assert log == want
-        for a, b in zip(ours.params + [ours.store.features],
-                        ref.params + [ref.store.features]):
+        for a, b in zip(ours.encoder.params + ours.head.params + [ours.store.features],
+                        ref.encoder.params + ref.head.params + [ref.store.features]):
             np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(ours.store.born, ref.store.born)
 

@@ -81,9 +81,8 @@ class TestConv2d:
     @pytest.mark.parametrize("w2", [1, 4, 15, 16, 20])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_col2im_matches_scatter_oracle(self, w2, stride):
-        """Both col2im paths (one bincount below 16 output columns, slice-
-        adds from 16 on) equal an np.add.at scatter through the im2col
-        index, bit for bit."""
+        """The col2im bincount equals an np.add.at scatter through the
+        im2col index, bit for bit, below and above 16 output columns."""
         rng = np.random.default_rng([w2, stride])
         t, c, kh, h2 = 3, 2, 3, 3
         hp, wp = stride * (h2 - 1) + kh, stride * (w2 - 1) + kh
