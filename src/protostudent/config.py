@@ -107,8 +107,8 @@ class RunConfig:
                      "image_size", "stroke_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
-        for name in ("explain_samples", "epochs", "teacher_epochs", "finetune_epochs", "steps",
-                     "weight_decay", "lr_step_epochs", "lrp_epsilon"):
+        for name in ("seed", "explain_samples", "epochs", "teacher_epochs", "finetune_epochs",
+                     "steps", "weight_decay", "lr_step_epochs", "lrp_epsilon"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
         for name in ("teacher_lr", "lr_head", "lr_encoder", "lr_gamma"):

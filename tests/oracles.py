@@ -25,7 +25,11 @@ its forward's im2col columns: each tile's columns gathered again in the
 backward; the kept columns must reproduce it bit for bit. `auc_tie_walk`
 is the AUC as it stood before its tie ranks became one vector pass: a
 loop that walks each run of equal sorted scores; `outlier.auc` must
-reproduce it bit for bit, NaN scores included.
+reproduce it bit for bit, NaN scores included. `rgb_to_hsv_branches`
+and `hsv_to_rgb_choose` are the color conversions as they stood before
+the generators were vectorized: a `np.where` per hue branch and a
+`np.choose` per channel; `datasets.rgb_to_hsv` and `hsv_to_rgb` must
+reproduce them bit for bit, for float32 and non-finite input too.
 """
 from __future__ import annotations
 
@@ -345,6 +349,39 @@ def auc_tie_walk(scores, labels) -> float:
         i = j + 1
     r_out = ranks[labels].sum()
     return float((r_out - n_out * (n_out + 1) / 2.0) / (n_out * n_norm))
+
+
+# -- the color conversions before the generators were vectorized --------------
+
+def rgb_to_hsv_branches(img: np.ndarray) -> np.ndarray:
+    """RGB -> HSV on a [3,H,W] array, one `np.where` per hue branch."""
+    r, g, b = img[0], img[1], img[2]
+    maxc = np.max(img, axis=0)
+    minc = np.min(img, axis=0)
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    safe = np.where(delta > 0, delta, 1.0)
+    rmax = (maxc == r) & (delta > 0)
+    gmax = (maxc == g) & (delta > 0) & ~rmax
+    bmax = (delta > 0) & ~rmax & ~gmax
+    h = np.zeros_like(maxc)
+    h = np.where(rmax, ((g - b) / safe) % 6.0, h)
+    h = np.where(gmax, (b - r) / safe + 2.0, h)
+    h = np.where(bmax, (r - g) / safe + 4.0, h)
+    return np.stack([h / 6.0, s, maxc])
+
+
+def hsv_to_rgb_choose(hsv: np.ndarray) -> np.ndarray:
+    """HSV -> RGB on a [3,H,W] array, one `np.choose` per channel."""
+    h, s, v = hsv[0] % 1.0, hsv[1], hsv[2]
+    h6 = h * 6.0
+    i = np.floor(h6).astype(np.int64) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    return np.stack([np.choose(i, [v, q, p, p, t, v]), np.choose(i, [t, v, v, q, p, p]),
+                     np.choose(i, [p, p, t, v, v, q])])
 
 
 class EvaluationError(RuntimeError):

@@ -271,13 +271,15 @@ class TestBadConfigValues:
         ("train-student", "lr_gamma", 0),
         ("explain", "lrp_epsilon", -0.5),
         ("outlier-eval", "stroke_count", 0),
+        ("train-teacher", "seed", -1),
     ], ids=["region-0", "region-negative", "epochs-string", "kprime-int", "classes-float",
             "seed-null", "encoder_blocks-two-ints", "steps-negative", "dataset_family-unknown",
             "n_test_per_class-0", "image_size-0", "encoder_blocks-kernel-0",
             "encoder_blocks-stride-0", "n_per_class-0", "teacher_lr-negative",
             "lr_head-negative", "lr_encoder-0", "weight_decay-negative",
             "lr_step_epochs-negative", "momentum-1.5", "momentum-1", "momentum-negative",
-            "lr_gamma-negative", "lr_gamma-0", "lrp_epsilon-negative", "stroke_count-0"])
+            "lr_gamma-negative", "lr_gamma-0", "lrp_epsilon-negative", "stroke_count-0",
+            "seed-negative"])
     def test_exit_2_names_field(self, pipeline, capsys, command, field, bad):
         root, _ = pipeline
         path = root / f"bad_{field}.json"
@@ -287,6 +289,15 @@ class TestBadConfigValues:
         err = capsys.readouterr().err.strip()
         assert f"'{field}'" in err and len(err.splitlines()) == 1
         assert _digests(root / "out") == before
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        """`--seed -1` is refused by the config check, before any data is
+        generated: exit 2 naming the field, not a numpy traceback."""
+        path = write_config(tmp_path)
+        assert main(["train-teacher", "--config", str(path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "'seed'" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["explain", "perturb-eval"])

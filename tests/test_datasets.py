@@ -1,16 +1,105 @@
-"""Generators: determinism, value ranges, corruption characteristics,
-HSV conversion, the 16-bit PGM round trip and the in-place file writer."""
+"""Generators: pinned output, determinism, value ranges, corruption
+characteristics, HSV conversion, the 16-bit PGM round trip and the
+in-place file writer."""
 import errno
+import hashlib
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from protostudent.datasets import (ALT_SHAPES, PRIMARY_SHAPES, DatasetError,
+from protostudent import datasets
+from protostudent.datasets import (ALT_SHAPES, PRIMARY_SHAPES, DatasetError, _solid,
                                    gen_altered_color, gen_dataset, gen_strokes,
                                    hsv_to_rgb, rgb_to_hsv)
 from protostudent.imagefiles import ImageFormatError, read_pgm16, write_file, write_pgm16
+
+from oracles import hsv_to_rgb_choose, rgb_to_hsv_branches
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 over each array's dtype, shape and C-order bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _corruption_bases() -> list:
+    """Ten primary 32x32 images and five alt 24x40 ones."""
+    return [gen_dataset(21, 2, 5).images, gen_dataset(22, 1, 5, (24, 40), "alt").images]
+
+
+class TestPinnedOutput:
+    """The generators' bytes are part of the contract: every acceptance
+    dataset is rebuilt from them, so a rewrite that drifts by one ulp, or
+    draws a sample's random numbers in another order, fails here. These
+    digests were taken before the generators were last rewritten; do not
+    update them to make a change pass."""
+
+    @pytest.mark.parametrize("family,size,n_per_class,seed,expected", [
+        ("primary", (32, 32), 8, 11,
+         "a0988e7c0e3f10ae0d17a604f90ad662a1608750e23b860aaf40c180f72e775b"),
+        ("alt", (32, 32), 8, 11,
+         "5184e904a8e7aa5f803a21e563c6a2aa6e030bfc93eaf4314706e4f203bc6437"),
+        ("primary", (24, 40), 1, 12,
+         "460242b0f32a17cd72d66cd2ea29464f993785679c4bc0d9d936960f7cf1f26a"),
+        ("alt", (24, 40), 1, 12,
+         "5bd06c6353fcd2cc60bd1c12557762c84b92d924fb238b369e3fbe943369f26e"),
+        ("primary", (16, 16), 2, 13,
+         "67d9f8ba24596000dcb495ade059c8bc0a83643b167acebd485e2f072f46b356"),
+        ("alt", (16, 16), 2, 13,
+         "3b5e5aefbaea60dca4e9eee44b0c14fbc2eafacba00fe993aeb3d2c8f1b4b5a1"),
+    ])
+    def test_gen_dataset(self, family, size, n_per_class, seed, expected):
+        ds = gen_dataset(seed, n_per_class, 5, size, family)
+        assert _digest(ds.images, ds.labels) == expected
+
+    @pytest.mark.parametrize("thickness,count,expected", [
+        (5, 3, "48e2782f9574d90fd5beb16b3c9f1b01dd12491e1d779ce49eb8a633dc6aa794"),
+        (1, 3, "83777b207c0740d8262224632115345c4a3a9a2b4154b7dc91ed92549a60e4e4"),
+        (5, 0, "d2c36d1bc4d39e4a975c9ba9c3837bafe0caaf687809f1cbabe0f59d83d30e74"),
+    ])
+    def test_gen_strokes(self, thickness, count, expected):
+        outs = [np.stack([gen_strokes(img, thickness, count, seed=100 + i)
+                          for i, img in enumerate(images)]) for images in _corruption_bases()]
+        assert _digest(*outs) == expected
+
+    def test_gen_strokes_200_images(self):
+        """Default strokes over 200 images: a segment end drawn a pixel
+        short changes few images, so the pin needs many."""
+        images = gen_dataset(23, 40, 5).images
+        outs = np.stack([gen_strokes(img, seed=300 + i) for i, img in enumerate(images)])
+        assert _digest(outs) == "46b60c86991459d744bd51fdd9ba5d11abdbe4cfff7d7ffb208eba35c2b25e6f"
+
+    def test_gen_altered_color(self):
+        outs = [np.stack([gen_altered_color(img, seed=200 + i) for i, img in enumerate(images)])
+                for images in _corruption_bases()]
+        assert _digest(*outs) == \
+            "6555849817d344c58649b77b0913e8a07dd54e839a6832cdce771358ba10c8ce"
+
+
+class TestInvalidInput:
+    """Out-of-range inputs raise DatasetError naming the problem, not
+    numpy's errors from deeper down."""
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: gen_dataset(-1, 2, 2), "seed"),
+        (lambda: gen_dataset(0, -1, 2), "n_per_class"),
+        (lambda: gen_dataset(0, 2, 2, (0, 32)), "image size"),
+        (lambda: gen_dataset(0, 2, 2, (32, 0)), "image size"),
+        (lambda: gen_strokes(np.zeros((3, 8, 8)), seed=-3), "seed"),
+        (lambda: gen_strokes(np.zeros((3, 0, 8))), "image size"),
+        (lambda: gen_altered_color(np.zeros((3, 8, 8)), seed=-1), "seed"),
+        (lambda: gen_altered_color(np.zeros((3, 8, 0))), "image size"),
+    ], ids=["dataset-seed", "dataset-n_per_class", "dataset-height-0", "dataset-width-0",
+            "strokes-seed", "strokes-empty", "altered-seed", "altered-empty"])
+    def test_rejected_with_named_error(self, call, match):
+        with pytest.raises(DatasetError, match=match):
+            call()
 
 
 class TestGenDataset:
@@ -19,6 +108,15 @@ class TestGenDataset:
         b = gen_dataset(7, 5, 3)
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("family", ["primary", "alt"])
+    def test_paint_chunk_changes_no_byte(self, family, monkeypatch):
+        """Samples are painted in chunks of PAINT_CHUNK; any chunk size,
+        including one sample at a time, gives the same bytes."""
+        want = gen_dataset(5, 40, 3, (12, 20), family).images
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(datasets, "PAINT_CHUNK", chunk)
+            assert gen_dataset(5, 40, 3, (12, 20), family).images.tobytes() == want.tobytes()
 
     def test_empty_per_class(self):
         ds = gen_dataset(0, 0, 2)
@@ -110,6 +208,29 @@ class TestHsvRoundTrip:
         for _ in range(20):
             img = rng.random((3, 6, 6))
             np.testing.assert_allclose(hsv_to_rgb(rgb_to_hsv(img)), img, atol=1e-6)
+
+    def test_scalar_color_equals_array_conversion(self):
+        """The generators' one-pixel colors, in scalar arithmetic, carry the
+        bits `hsv_to_rgb` gives for the same pixel."""
+        rng = np.random.default_rng(11)
+        for row in rng.random((2000, 3)) * [3.0, 1.0, 1.0] - [1.0, 0.0, 0.0]:
+            hue, sat, val = map(float, row)   # the generators pass Python floats
+            pixel = hsv_to_rgb(np.array([hue, sat, val]).reshape(3, 1, 1))[:, 0, 0]
+            assert np.array(_solid(hue, sat, val)).tobytes() == pixel.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_equal_to_branch_oracles(self, dtype):
+        """Both conversions give the bits of the per-branch formulas, on
+        ties, signed zeros, out-of-range hues and non-finite values too."""
+        rng = np.random.default_rng(13)
+        grid = np.array([0.0, -0.0, 0.25, 0.5, 1.0, 1.5, -0.5, 1e-20, -1e-20, 5e-324,
+                         np.inf, -np.inf, np.nan])
+        batches = [rng.random((3, 16, 16)), np.round(rng.random((3, 16, 16)) * 4) / 4,
+                   rng.choice(grid, size=(3, 16, 16)), rng.normal(0.0, 3.0, (3, 16, 16))]
+        with np.errstate(all="ignore"):
+            for batch in (b.astype(dtype) for b in batches):
+                assert rgb_to_hsv(batch).tobytes() == rgb_to_hsv_branches(batch).tobytes()
+                assert hsv_to_rgb(batch).tobytes() == hsv_to_rgb_choose(batch).tobytes()
 
     def test_known_colors(self):
         red = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)

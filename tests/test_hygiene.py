@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-reads an environment variable, writes into a gradient buffer in place,
-applies a separate ReLU to a conv2d result, writes a file other than
-through `imagefiles.write_file` or defines a name that only tests call.
+reads an environment variable, draws random numbers that no seed fixes,
+writes into a gradient buffer in place, applies a separate ReLU to a
+conv2d result, writes a file other than through `imagefiles.write_file`
+or defines a name that only tests call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -82,6 +83,88 @@ def test_environment_checker_flags_reads():
               "d = os.path.join('environ', 'getenv')\n")
     assert environment_reads(source) == [(2, "from os import getenv"), (3, "os.environ"),
                                          (4, "os.getenv"), (5, "getenv")]
+
+
+# numpy.random names that hold no global state: the seeded Generator API
+SEEDED_RANDOM_API = {"default_rng", "Generator", "BitGenerator", "SeedSequence", "PCG64",
+                     "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+
+
+def unseeded_randomness(source: str) -> list:
+    """(line, expression) of every random source that no seed fixes: an
+    `np.random.default_rng` call without a seed (or with None), any name
+    of numpy's global-state generator (`np.random.seed`, `rand`, `normal`,
+    `RandomState`, ...: every `numpy.random` name outside the Generator
+    API) and any import of the standard library's `random` module. Every
+    artifact must repeat byte for byte from the run's seed."""
+    tree = ast.parse(source)
+    numpy_names, random_names, rng_names = set(), set(), set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random":
+                    found.append((node.lineno, f"import {alias.name}"))
+                elif alias.name == "numpy.random" and alias.asname:
+                    random_names.add(alias.asname)
+                elif alias.name.split(".")[0] == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                if (node.module or "").split(".")[0] == "random":
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+                elif node.module == "numpy" and alias.name == "random":
+                    random_names.add(alias.asname or alias.name)
+                elif node.module == "numpy.random" and alias.name not in SEEDED_RANDOM_API:
+                    found.append((node.lineno, f"from numpy.random import {alias.name}"))
+                elif node.module == "numpy.random" and alias.name == "default_rng":
+                    rng_names.add(alias.asname or alias.name)
+
+    def numpy_random(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in random_names) or (
+            isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and numpy_random(node.value) \
+                and node.attr not in SEEDED_RANDOM_API:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id in rng_names) or
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "default_rng"
+                 and numpy_random(node.func.value))):
+            seeds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "seed"]
+            if not seeds or all(isinstance(v, ast.Constant) and v.value is None for v in seeds):
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unseeded_randomness(path):
+    assert unseeded_randomness(path.read_text()) == []
+
+
+def test_randomness_checker_flags_unseeded_sources():
+    source = ("import random\n"
+              "import numpy as np\n"
+              "from numpy.random import default_rng as make, rand\n"
+              "from random import choice\n"
+              "a = np.random.default_rng()\n"
+              "b = np.random.default_rng(seed=None)\n"
+              "c = make()\n"
+              "np.random.seed(0)\n"
+              "d = np.random.normal(0.0, 0.02, size=(3, 4))\n"
+              "e = np.random.default_rng([seed, 0x5B]).uniform(0, 1)\n"
+              "def draw(rng: np.random.Generator, seed):\n"
+              "    return make(seed).integers(0, 3) + rng.normal()\n"
+              "g = np.random.RandomState(1)\n"
+              "from numpy import random as npr\n"
+              "h = npr.rand(2) + npr.default_rng(5).random()\n")
+    assert unseeded_randomness(source) == [
+        (1, "import random"), (3, "from numpy.random import rand"),
+        (4, "from random import choice"), (5, "np.random.default_rng()"),
+        (6, "np.random.default_rng(seed=None)"), (7, "make()"), (8, "np.random.seed"),
+        (9, "np.random.normal"), (13, "np.random.RandomState"), (15, "npr.rand")]
 
 
 def _rooted_at_grad(node) -> bool:
