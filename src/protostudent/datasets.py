@@ -277,10 +277,14 @@ def gen_strokes(img: np.ndarray, thickness: int = STROKE_THICKNESS,
 
 def gen_altered_color(img: np.ndarray, seed: int = 0) -> np.ndarray:
     """Force saturation and value up to SAT_FLOOR and VAL_FLOOR and rotate
-    the hue by a random offset drawn from HUE_DELTA_RANGE."""
+    the hue by a random offset drawn from HUE_DELTA_RANGE. A non-finite
+    pixel raises DatasetError: its HSV round trip has no platform-stable
+    bytes."""
     _check_seed(seed)
     img = np.asarray(img, dtype=np.float64)
     _check_size(*img.shape[1:])
+    if not np.isfinite(img).all():
+        raise DatasetError("image holds a non-finite pixel")
     hsv = rgb_to_hsv(img)
     delta = np.random.default_rng([seed, 0x5C]).uniform(*HUE_DELTA_RANGE)
     np.maximum(hsv[1], SAT_FLOOR, out=hsv[1])

@@ -35,10 +35,13 @@ def write_file(path, data: bytes):
 
 def write_pgm16(path, image: np.ndarray) -> bytes:
     """Write a [H,W] float image in [0,1] as binary big-endian 16-bit P5;
-    returns the bytes written."""
+    returns the bytes written. A non-finite pixel, which has no 16-bit
+    word, raises ImageFormatError and writes nothing."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ImageFormatError(f"expected [H,W], got {img.shape}")
+    if not np.isfinite(img).all():
+        raise ImageFormatError("image holds a non-finite pixel")
     words = np.clip(np.rint(img * 65535.0), 0, 65535).astype(">u2")
     h, w = img.shape
     data = f"P5\n{w} {h}\n65535\n".encode() + words.tobytes()

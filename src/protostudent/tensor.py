@@ -612,21 +612,21 @@ def _im2col_plan(c, h, w, kh, kw, stride, pad):
 _COL2IM_FLAT: dict = {}
 
 
-def _col2im_add(dst, cols, kh, kw, stride):
-    """Adjoint of the im2col gather: add columns [t, C*kh*kw, H2*W2] into
-    the padded maps dst [t, C, Hp, Wp] by one bincount over a cached flat
+def _col2im(cols, shape, kh, kw, stride):
+    """Adjoint of the im2col gather: the padded maps [t, C, Hp, Wp] that sum
+    the columns [t, C*kh*kw, H2*W2], by one bincount over a cached flat
     index. One strided slice-add per kernel tap gives the same bits but never
     ran faster (2-vCPU Xeon, median of 100-200 calls): bincount took 0.49-0.57
     of its time at explain's first layer (16 output columns), 0.72-0.91 at
     32 columns and 64-px inputs, and 0.29-0.55 below 16 columns."""
-    t, c, hp, wp = dst.shape
+    t, c, hp, wp = shape
     key = (t, c, hp, wp, kh, kw, stride)
     flat = _COL2IM_FLAT.get(key)
     if flat is None:
         idx = _im2col_plan(c, hp, wp, kh, kw, stride, 0)[0]
         flat = (idx + np.arange(t)[:, None, None] * (c * hp * wp)).ravel()
         _COL2IM_FLAT[key] = flat
-    dst += np.bincount(flat, weights=cols.ravel(), minlength=dst.size).reshape(dst.shape)
+    return np.bincount(flat, weights=cols.ravel(), minlength=t * c * hp * wp).reshape(shape)
 
 
 # Byte budget of one batch tile's im2col columns [t, C*kh*kw, H2*W2], so a
@@ -706,9 +706,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, pad: int = 0,
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=(0, 2)))
         if x.requires_grad:
-            dxp = np.zeros((n, c, hp, wp))
+            dxp = np.empty((n, c, hp, wp))
             for s in range(0, n, tile):
-                _col2im_add(dxp[s:s + tile], np.matmul(k2.T, g2[s:s + tile]), kh, kw, stride)
+                e = min(n, s + tile)
+                dxp[s:e] = _col2im(np.matmul(k2.T, g2[s:e]), (e - s, c, hp, wp), kh, kw, stride)
             dx = dxp[:, :, pad:hp - pad, pad:wp - pad] if pad else dxp
             _accum(x, dx)
 

@@ -201,6 +201,18 @@ class TestAlteredColor:
         out = gen_altered_color(ds.images[0], seed=4)
         assert np.abs(out - ds.images[0]).max() > 0.05
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pixel", [(np.inf, np.inf, 0.5), (np.nan, 0.2, 0.5),
+                                       (0.1, -np.inf, 0.5)], ids=["inf-inf", "nan", "minus-inf"])
+    def test_non_finite_pixel_rejected(self, pixel):
+        """A 2x2 image with one non-finite pixel raises DatasetError before
+        any numpy warning: its HSV round trip would cast NaN to an integer
+        hue sector, whose value the platform defines."""
+        img = np.full((3, 2, 2), 0.5)
+        img[:, 0, 1] = pixel
+        with pytest.raises(DatasetError, match="non-finite"):
+            gen_altered_color(img, seed=0)
+
 
 class TestHsvRoundTrip:
     def test_round_trip_identity(self):
@@ -247,6 +259,15 @@ class TestImageFiles:
         write_pgm16(tmp_path / "x.pgm", img)
         back = read_pgm16(tmp_path / "x.pgm")
         assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected_before_writing(self, tmp_path, bad):
+        img = np.full((2, 3), 0.5)
+        img[1, 2] = bad
+        with pytest.raises(ImageFormatError, match="non-finite"):
+            write_pgm16(tmp_path / "x.pgm", img)
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_pgm_rejected(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n65535\nshort")

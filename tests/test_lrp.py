@@ -1,5 +1,6 @@
 """Relevance propagation: rule-level values, conv-as-matrix oracle,
 conservation ledgers, and heatmap structure."""
+import dataclasses
 import json
 import zlib
 
@@ -134,6 +135,42 @@ class TestConvAlphaBeta:
             one = lrp_conv_alphabeta(a[i:i + 1], kernel, bias, r_out[i:i + 1], params,
                                      stride, pad)
             np.testing.assert_allclose(one[0], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_row_map_matches_expanded_inputs(self, signed, with_bias, stride, pad):
+        """Sides that share a distinct input through a row map with repeats
+        get what a call on the expanded inputs gives them, and the oracle's
+        values: the unsigned path's a * col2im(G) and the signed path's
+        column products alike."""
+        rng = np.random.default_rng([stride, pad, with_bias, signed])
+        a = rng.standard_normal((3, 2, 5, 6))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        if not signed:
+            a = np.abs(a)
+        kernel = rng.standard_normal((4, 2, 3, 3))
+        bias = rng.standard_normal(4) if with_bias else None
+        rows = np.array([0, 2, 0, 1, 2, 2, 0])
+        h2, w2 = (5 + 2 * pad - 3) // stride + 1, (6 + 2 * pad - 3) // stride + 1
+        r_out = rng.standard_normal((len(rows), 4, h2, w2))
+        params = LrpParams()
+        got = lrp_conv_alphabeta(a, kernel, bias, r_out, params, stride, pad, rows)
+        want = lrp_conv_alphabeta(a[rows], kernel, bias, r_out, params, stride, pad)
+        assert got.shape == want.shape == (len(rows), 2, 5, 6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for j, row in enumerate(rows):
+            np.testing.assert_allclose(
+                got[j], alphabeta_oracle(a[row], kernel, bias, r_out[j], params, stride, pad),
+                rtol=0, atol=1e-12)
+
+    def test_row_map_length_sets_the_relevance_batch(self):
+        """With a row map, r_out has one entry per side, not per input."""
+        a, kernel = np.ones((2, 2, 4, 4)), np.ones((3, 2, 3, 3))
+        with pytest.raises(DimensionError, match=r"\(3, 3, 4, 4\)"):
+            lrp_conv_alphabeta(a, kernel, None, np.ones((2, 3, 4, 4)), LrpParams(), 1, 1,
+                               np.array([0, 1, 1]))
 
     @pytest.mark.parametrize("a_shape,k_shape,r_shape,culprit", [
         ((2, 2, 4, 4), (4, 2, 3, 3), (1, 4, 4, 4), "r"),   # one sample's relevance, two inputs
@@ -525,6 +562,27 @@ class TestExportPair:
         for side in ("input", "proto"):
             meta = json.loads((tmp_path / f"pair_{side}.json").read_text())
             assert meta["conservation_residual"] is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field,bad", [("heat_input", np.nan), ("heat_proto", np.nan),
+                                           ("heat_proto", np.inf), ("r_sim", np.nan),
+                                           ("u_value", np.inf)])
+    def test_non_finite_pair_raises_before_writing(self, tmp_path, field, bad):
+        """A NaN or inf in a heatmap, r_sim or u_k raises PropagationError
+        naming it, and no file is left: a PGM has no word for it and JSON
+        no token."""
+        student = micro_student("II-A", seed=35, k=3)
+        pair = heatmaps(student, np.random.default_rng(36).random((2, 4, 4)), 1)
+        if field == "u_value":
+            pair = dataclasses.replace(pair, u_value=bad)
+        else:
+            value = getattr(pair, field).copy()
+            value.flat[1] = bad
+            pair = dataclasses.replace(pair, **{field: value})
+        named = {"heat_input": "input heatmap", "heat_proto": "proto heatmap"}
+        with pytest.raises(PropagationError, match=named.get(field, "r_sim or u_k")):
+            export_pair(pair, tmp_path / "pair")
+        assert list(tmp_path.iterdir()) == []
 
     def test_export_over_longer_files_matches_fresh_export(self, tmp_path):
         """Exporting over a base whose four files already hold 10 KB of junk

@@ -41,5 +41,7 @@ def test_tracer_wraps_and_restores_every_package_function():
     wrapped = {key for key, value in during.items() if value is not before.get(key)}
     assert ("protostudent.tensor", "conv2d") in wrapped
     assert ("protostudent.tensor.Tensor", "backward") in wrapped
+    for name in ("lrp_conv_alphabeta", "encoder_lrp", "export_pair"):
+        assert ("protostudent.lrp", name) in wrapped
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
