@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .heads import HEAD_KINDS
+
 
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -77,7 +79,6 @@ class RunConfig:
     sweep: list = field(default_factory=lambda: [5, 10, 20])
 
     def validate(self):
-        from .heads import HEAD_KINDS
         for f in fields(self):
             wanted, ok = _TYPES["blocks" if f.name == "encoder_blocks" else f.type]
             if not ok(getattr(self, f.name)):

@@ -4,7 +4,8 @@ The encoder is a stack of conv/ReLU blocks ending in a ReLU, so feature
 maps are always nonnegative — downstream similarity scores rely on that.
 Each block is one `tensor.conv2d(..., relu=True)` node holding only the
 post-activation map. The teacher adds spatial average pooling and a
-linear classifier on top and supplies soft labels for distillation.
+linear classifier on top and supplies soft labels for distillation;
+`train_teacher` shares the student loop's batch order, loss and error.
 """
 from __future__ import annotations
 
@@ -12,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses as L
 from . import tensor as T
-from .optim import SGD
+from .optim import SGD, TrainingError, batches
 from .tensor import DimensionError, Tensor
-
-
-class TrainingError(RuntimeError):
-    """Training diverged; message carries the failing step."""
 
 
 @dataclass(frozen=True)
@@ -154,12 +152,6 @@ def make_teacher(config: EncoderConfig, class_count: int, seed: int = 0) -> Teac
     return TeacherModel(encoder=enc, w=w, b=b, class_count=class_count)
 
 
-def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
                   batch_size: int = 64, config: EncoderConfig | None = None,
                   val_data=None) -> TeacherModel:
@@ -179,22 +171,15 @@ def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
     teacher = make_teacher(config, classes, seed=seed)
     opt = SGD([{"params": teacher.params, "lr": lr}])
     rng = np.random.default_rng([seed, 0x7E])
-    step = 0
     for epoch in range(epochs):
-        for batch in _iter_batches(len(images), batch_size, rng):
-            xb = Tensor(images[batch])
-            logits = teacher.forward(xb)
-            logp = T.log_softmax(logits, axis=1)
-            picked = T.take_flat(logp, np.ravel_multi_index(
-                (np.arange(len(batch)), labels[batch]), logp.shape))
-            loss = -T.tmean(picked)
+        for it, batch in enumerate(batches(np.arange(len(images)), batch_size, None, rng)):
+            loss = L.cross_entropy(labels[batch], teacher.forward(Tensor(images[batch])))
             if not np.isfinite(loss.data):
-                raise TrainingError(f"teacher loss became non-finite at step {step}")
+                raise TrainingError(f"teacher loss is non-finite at epoch {epoch} iteration {it}")
             opt.zero_grad()
             loss.backward()
             opt.step()
-            del logits, logp, picked, loss   # free the step's graph before the next forward
-            step += 1
+            del loss   # free the step's graph before the next forward
     teacher.train_accuracy = teacher.accuracy(images, labels)
     if val_data is not None:
         teacher.val_accuracy = teacher.accuracy(np.asarray(val_data[0], dtype=np.float64),

@@ -5,6 +5,8 @@ The distance terms are evaluated through the squared-distance expansion
 ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b over normalized feature columns,
 which lets them share the cosine maps the head forward pass already
 produces instead of materializing per-pair difference tensors.
+`cross_entropy` on integer labels is the teacher's whole loss; the module
+imports only `tensor` and `optim`, so `encoder` can call it.
 """
 from __future__ import annotations
 
@@ -12,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heads as H
 from . import tensor as T
-from .encoder import TrainingError
+from .optim import TrainingError
 from .tensor import DimensionError, Tensor
 
-EPS_LOG = 1e-12
 EPS_J = 1e-6
 
 
@@ -92,8 +92,8 @@ def _gather_bk(t: Tensor, arg: np.ndarray, axis_of_t: str) -> Tensor:
     return T.take_flat(t, flat)
 
 
-def j_from_record(rec: H.SimilarityRecord, labels_x, labels_p) -> Tensor:
-    """Head-appropriate distance objective from a forward record.
+def j_from_record(rec, labels_x, labels_p) -> Tensor:
+    """Head-appropriate distance objective from a `heads.SimilarityRecord`.
 
     Head I compares pooled vectors through their recorded cosines s_raw.
     Every other head averages column distances over input positions, each

@@ -1,9 +1,27 @@
-"""SGD with momentum, weight decay, and step-decay learning rates."""
+"""What both training loops share: the batch order, momentum SGD with weight
+decay and step-decay learning rates, and TrainingError."""
 from __future__ import annotations
 
 import numpy as np
 
 MAX_GRAD_NORM = 10.0   # the global gradient norm is clipped to this before each step
+
+
+class TrainingError(RuntimeError):
+    """Training cannot start, or diverged at the epoch and iteration named."""
+
+
+def batches(ids: np.ndarray, batch_size: int, iterations: int | None,
+            rng: np.random.Generator):
+    """One epoch of minibatches of `ids`: one permutation sliced in order,
+    batch `it` from (it * batch_size) mod len(ids), cut at the end, so
+    `iterations` batches wrap around; None means one pass."""
+    order = rng.permutation(len(ids))
+    if iterations is None:
+        iterations = (len(ids) + batch_size - 1) // batch_size
+    for it in range(iterations):
+        lo = (it * batch_size) % len(ids)
+        yield ids[order[lo:lo + batch_size]]
 
 
 class SGD:

@@ -8,7 +8,8 @@ masked-output cross-entropy to the objective; at the end of every epoch
 those p prototypes are swapped against class-matched random draws from
 D. Post-pruning finetuning is the same step loop with p = 0 over a fixed
 prototype set. The teacher's soft labels are computed on first draw: a
-row is encoded by the teacher only when a step first trains on it.
+row is encoded by the teacher only when a step first trains on it. Batch
+order, cross-entropy and TrainingError are shared with `train_teacher`.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .encoder import TeacherModel, TrainingError
+from .encoder import TeacherModel
 from .heads import HeadModel, StudentModel, head_forward, make_head
 from .losses import LossWeights
-from .optim import SGD
+from .optim import SGD, TrainingError, batches
 from .tensor import DimensionError, Tensor
 
 
@@ -153,9 +154,9 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
          weights: LossWeights, rng: np.random.Generator) -> list:
     """The step loop of training and of finetuning; returns log records.
 
-    Each epoch draws `iterations` batches from D, the union of d_pools
-    (None: one pass). With p > 0 the p oldest prototypes are masked in
-    the auxiliary branch and swapped out at the epoch's end; with p = 0
+    Each epoch draws `iterations` `optim.batches` from D, the union of
+    d_pools (None: one pass). With p > 0 the p oldest prototypes are masked
+    in the auxiliary branch and swapped out at the epoch's end; with p = 0
     the mask keeps every prototype and the store stays fixed.
     The teacher's soft labels are computed on first draw, one no-grad
     forward over the rows of a batch not seen before, so rows that no step
@@ -170,16 +171,10 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
     teacher_logits = np.empty((len(images), teacher.class_count))
     known = np.zeros(len(images), dtype=bool)
     log_records = []
-    step = 0
     for epoch in range(epochs):
         opt.set_epoch(epoch)
         d_ids = np.asarray(sorted(i for pool in d_pools.values() for i in pool), dtype=np.int64)
-        order = rng.permutation(len(d_ids))
-        n_iters = iterations if iterations is not None else \
-            (len(d_ids) + config.batch_size - 1) // config.batch_size
-        for it in range(n_iters):
-            lo = (it * config.batch_size) % len(d_ids)
-            batch = d_ids[order[lo:lo + config.batch_size]]
+        for it, batch in enumerate(batches(d_ids, config.batch_size, iterations, rng)):
             new = batch[~known[batch]]
             if len(new):
                 with T.no_grad():
@@ -199,7 +194,7 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
                 total, parts = L.total_loss(labels[batch], y, teacher_logits[batch],
                                             y_pred, y_mask, j_val, weights)
             except TrainingError as err:
-                raise TrainingError(f"{err} at epoch {epoch} iteration {it} (step {step})") from err
+                raise TrainingError(f"{err} at epoch {epoch} iteration {it}") from err
             opt.zero_grad()
             total.backward()
             opt.step()
@@ -210,7 +205,6 @@ def _fit(student: StudentModel, teacher: TeacherModel, images, labels, d_pools: 
             # the next step's forward
             store.features = None
             del feats, fx, fp, y, rec, y_mask, j_val, total
-            step += 1
         if p > 0:
             swaps = _replace_lowest(store, d_pools, images, labels, p, rng)
             log_records.append({"epoch": epoch, "iter": None, "loss": None,

@@ -12,8 +12,12 @@ matched cosines must reproduce them bit for bit (the aligned ones, which
 sum in another order, to 1e-14), the score to 1e-12. `finetune` is the
 post-pruning loop as it stood before training and finetuning shared one
 step loop (`replacement._fit`); the new loop must reproduce it bit for
-bit. `ImportanceWeights` is the importance vector the prototype ranking
-read before birth stamps; with weight decay on, the stamps must pick the
+bit. `train_teacher` is the teacher loop as it stood before it took its
+batch order from `optim.batches` and its loss from
+`losses.cross_entropy`: its own permutation slicer and an inline
+integer-label cross-entropy; `encoder.train_teacher` must reproduce its
+parameters and training accuracy bit for bit. `ImportanceWeights` is the
+importance vector the prototype ranking read before birth stamps; with weight decay on, the stamps must pick the
 same slots at every mask, swap and prune. `lrp_linear_eps` is the epsilon rule through one dense layer, the
 rule the relevance code writes out inline for the logit, similarity and
 pooling layers. `grad_check` is the central-difference reference every
@@ -39,7 +43,7 @@ import numpy as np
 
 from protostudent import losses as L
 from protostudent import tensor as T
-from protostudent.encoder import TeacherModel
+from protostudent.encoder import EncoderConfig, TeacherModel, TrainingError, make_teacher
 from protostudent.heads import StudentModel, head_forward
 from protostudent.losses import LossWeights
 from protostudent.lrp import _safe_ratio, _stab
@@ -296,6 +300,54 @@ def finetune(student: StudentModel, teacher: TeacherModel, train_data,
                             "replaced": []})
     student.refresh_store_features()
     return records
+
+
+def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
+def train_teacher(data, epochs: int, lr: float = 0.05, seed: int = 0,
+                  batch_size: int = 64, config: EncoderConfig | None = None,
+                  val_data=None) -> TeacherModel:
+    """Fit a teacher classifier on (images, labels) with momentum SGD.
+
+    Deterministic for a fixed seed: init, shuffling, and accumulation
+    order are all derived from it.
+    """
+    images = np.asarray(data[0], dtype=np.float64)
+    labels = np.asarray(data[1], dtype=np.int64)
+    classes = int(labels.max()) + 1 if labels.size else 0
+    if classes < 2:
+        raise TrainingError("teacher training needs at least 2 classes")
+    if config is None:
+        config = EncoderConfig(in_channels=images.shape[1],
+                               input_size=images.shape[2:])
+    teacher = make_teacher(config, classes, seed=seed)
+    opt = SGD([{"params": teacher.params, "lr": lr}])
+    rng = np.random.default_rng([seed, 0x7E])
+    step = 0
+    for epoch in range(epochs):
+        for batch in _iter_batches(len(images), batch_size, rng):
+            xb = Tensor(images[batch])
+            logits = teacher.forward(xb)
+            logp = T.log_softmax(logits, axis=1)
+            picked = T.take_flat(logp, np.ravel_multi_index(
+                (np.arange(len(batch)), labels[batch]), logp.shape))
+            loss = -T.tmean(picked)
+            if not np.isfinite(loss.data):
+                raise TrainingError(f"teacher loss became non-finite at step {step}")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            del logits, logp, picked, loss   # free the step's graph before the next forward
+            step += 1
+    teacher.train_accuracy = teacher.accuracy(images, labels)
+    if val_data is not None:
+        teacher.val_accuracy = teacher.accuracy(np.asarray(val_data[0], dtype=np.float64),
+                                                np.asarray(val_data[1]))
+    return teacher
 
 
 # -- the importance vector before birth stamps -------------------------------

@@ -315,6 +315,20 @@ def test_non_finite_student_exit_3_one_line(pipeline, tmp_path, capsys, command)
     assert "non-finite" in err and len(err.splitlines()) == 1
 
 
+def test_diverging_teacher_exit_3_one_line_no_artifacts(tmp_path, capsys):
+    """A teacher rate of 1e300 makes the loss non-finite: exit 3 with one
+    `numerical failure:` line naming the epoch and iteration, and neither
+    the checkpoint nor the report is written."""
+    path = write_config(tmp_path, n_per_class=4, n_test_per_class=2, image_size=16,
+                        batch_size=4, teacher_lr=1e300)
+    assert main(["train-teacher", "--config", str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+    assert "at epoch 0 iteration" in err
+    for name in ("teacher.ckpt", "teacher_report.json"):
+        assert not (tmp_path / "out" / name).exists()
+
+
 def test_prune_keeps_a_class_that_swaps_put_at_the_bottom(tmp_path):
     """3 classes x 4 prototypes with p = 4 swaps one whole class per epoch,
     so that class ranks lowest; a 0.34 prune (4 of 12) keeps one of it."""

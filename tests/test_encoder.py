@@ -10,6 +10,7 @@ from protostudent.tensor import DimensionError, Tensor
 
 from conftest import ROWS_CONFIG
 from oracles import encode
+from oracles import train_teacher as reference_train_teacher
 
 
 def blob_data(n_per_class=20, classes=2, size=8, seed=0):
@@ -185,6 +186,30 @@ class TestTeacherTraining:
         t2 = train_teacher((imgs, labs), epochs=3, lr=0.05, seed=9, config=SMALL)
         for p1, p2 in zip(t1.params, t2.params):
             np.testing.assert_array_equal(p1.data, p2.data)
+
+    def test_matches_reference_loop(self):
+        """The teacher loop on `optim.batches` and `losses.cross_entropy`
+        reproduces the loop with its own permutation slicer and inline
+        cross-entropy bit for bit, with a partial last batch (60 images in
+        batches of 16 and of 7)."""
+        imgs, labs = blob_data(n_per_class=20, classes=3)
+        for seed in (3, 11):
+            for batch_size in (16, 7):
+                got = train_teacher((imgs, labs), epochs=2, lr=0.05, seed=seed,
+                                    batch_size=batch_size, config=SMALL)
+                want = reference_train_teacher((imgs, labs), epochs=2, lr=0.05, seed=seed,
+                                               batch_size=batch_size, config=SMALL)
+                for p_got, p_want in zip(got.params, want.params):
+                    assert p_got.data.tobytes() == p_want.data.tobytes()
+                assert got.train_accuracy == want.train_accuracy
+
+    def test_diverging_loss_names_epoch_and_iteration(self):
+        """At lr 1e300 the first step blows the weights up and the second
+        step's loss is non-finite: the error names epoch 0, iteration 1."""
+        imgs, labs = blob_data(n_per_class=4, classes=3)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingError, match=r"non-finite at epoch 0 iteration 1$"):
+            train_teacher((imgs, labs), epochs=2, lr=1e300, seed=0, batch_size=4, config=SMALL)
 
     def test_single_class_rejected(self):
         imgs, labs = blob_data(classes=1)

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-reads an environment variable, draws random numbers that no seed fixes,
-writes into a gradient buffer in place, applies a separate ReLU to a
-conv2d result, writes a file other than through `imagefiles.write_file`
-or defines a name that only tests call.
+imports inside a function or class, reads an environment variable, draws
+random numbers that no seed fixes, writes into a gradient buffer in
+place, applies a separate ReLU to a conv2d result, writes a file other
+than through `imagefiles.write_file` or defines a name that only tests
+call.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -51,6 +52,40 @@ def test_checker_flags_unused_and_accepts_used():
               "def f(x: Tensor):\n"
               "    return np.asarray(os.path.join(x))\n")
     assert unused_imports(source) == [(4, "H"), (5, "no_grad")]
+
+
+def nested_imports(source: str) -> list:
+    """(line, statement) of every import that is not a statement of the
+    module body itself: inside a function, a class or a block such as
+    `if` or `try`. Every module names what it depends on at its head."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_nested_import_checker_flags_imports_below_the_module_body():
+    source = ("import json\n"
+              "from .heads import HEAD_KINDS\n"
+              "def validate(x):\n"
+              "    from .heads import HEAD_KINDS\n"
+              "    import numpy as np\n"
+              "    return np.asarray(x)\n"
+              "class Config:\n"
+              "    import os\n"
+              "    def load(self):\n"
+              "        def inner():\n"
+              "            from . import tensor as T\n"
+              "if json:\n"
+              "    import zlib\n")
+    assert nested_imports(source) == [
+        (4, "from .heads import HEAD_KINDS"), (5, "import numpy as np"), (8, "import os"),
+        (11, "from . import tensor as T"), (13, "import zlib")]
 
 
 def environment_reads(source: str) -> list:
