@@ -16,8 +16,8 @@ one cut short mixes new and old bytes, which the CRC rejects.
 
 A file with a valid CRC is also checked against itself: encoder tensor
 shapes against the encoder configuration and, for students, the
-prototype count, class count, label range and head kind across the
-manifest and the tensors.
+prototype count and label range across the manifest and the tensors,
+and the head tensors against those `heads.make_head` builds.
 """
 from __future__ import annotations
 
@@ -29,13 +29,15 @@ from contextlib import contextmanager
 import numpy as np
 
 from .encoder import Encoder, EncoderConfig, TeacherModel
-from .heads import HEAD_KINDS, HeadModel, StudentModel
+from .heads import ConfigurationError, HeadModel, StudentModel, make_head
 from .imagefiles import write_file
 from .replacement import PrototypeStore
 from .tensor import Tensor
 
 MAGIC = b"PBSN1"
 VERSION = 3
+# a student's head tensors, in `HeadModel.params` order
+_HEAD_TENSORS = ("head.w", "head.b", "head.conv1d_w")
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -148,10 +150,7 @@ def save_student(path, student: StudentModel):
     store = student.store
     tensors = {}
     _encoder_tensors("encoder", student.encoder, tensors)
-    tensors["head.w"] = student.head.w.data
-    tensors["head.b"] = student.head.b.data
-    if student.head.conv1d_w is not None:
-        tensors["head.conv1d_w"] = student.head.conv1d_w.data
+    tensors.update(zip(_HEAD_TENSORS, (p.data for p in student.head.params)))
     tensors["store.born"] = store.born
     tensors["store.images"] = store.images
     _write(path, {"kind": "student",
@@ -163,29 +162,35 @@ def save_student(path, student: StudentModel):
                   "prototype_labels": [int(c) for c in store.labels]}, tensors)
 
 
-def _check_student(manifest: dict, tensors: dict):
+def _check_student(manifest: dict, tensors: dict, channels: int) -> HeadModel:
     """Reject a well-formed file whose parts disagree with each other:
-    prototype counts, class counts, label range, head tensors by kind."""
+    prototype counts, label range, and head tensors missing, present or
+    shaped unlike `make_head`'s for the file; returns that made head."""
     kind = manifest["head_kind"]
     classes = int(manifest["class_count"])
+    k = int(manifest["k"])
     labels = [int(c) for c in manifest["prototype_labels"]]
-    w = tensors["head.w"]
-    if kind not in HEAD_KINDS:
-        raise CorruptCheckpointError(f"unknown head kind {kind!r}")
-    if w.ndim != 2 or w.shape[0] != classes:
-        raise CorruptCheckpointError(f"head.w has shape {list(w.shape)}, "
-                                     f"expected {classes} rows (class_count)")
-    counts = {"k": int(manifest["k"]), "prototype_ids": len(manifest["prototype_ids"]),
+    counts = {"k": k, "prototype_ids": len(manifest["prototype_ids"]),
               "prototype_labels": len(labels), "store.images rows": len(tensors["store.images"]),
-              "store.born": tensors["store.born"].size, "head.w columns": w.shape[1]}
+              "store.born": tensors["store.born"].size}
     if len(set(counts.values())) != 1:
         raise CorruptCheckpointError(f"prototype counts disagree: {counts}")
     bad = [c for c in labels if not 0 <= c < classes]
     if bad:
         raise CorruptCheckpointError(f"prototype labels {bad} outside [0, {classes})")
-    if ("head.conv1d_w" in tensors) != kind.startswith("III"):
-        state = "present" if "head.conv1d_w" in tensors else "missing"
-        raise CorruptCheckpointError(f"head.conv1d_w {state} for head {kind}")
+    try:
+        head = make_head(kind, k, classes, channels)
+    except ConfigurationError as err:
+        raise CorruptCheckpointError(str(err)) from err
+    for name, param in zip(_HEAD_TENSORS, (head.w, head.b, head.conv1d_w)):
+        if (name in tensors) != (param is not None):
+            state = "present" if name in tensors else "missing"
+            raise CorruptCheckpointError(f"{name} {state} for head {kind}")
+        if param is not None and tensors[name].shape != param.shape:
+            raise CorruptCheckpointError(
+                f"{name} has shape {list(tensors[name].shape)}, head {kind} with class_count "
+                f"{classes}, k {k} and {channels} feature channels implies {list(param.shape)}")
+    return head
 
 
 def load_student(path) -> StudentModel:
@@ -194,17 +199,14 @@ def load_student(path) -> StudentModel:
         raise CorruptCheckpointError("not a student checkpoint")
     with _manifest_errors():
         config = EncoderConfig.from_dict(manifest["encoder"])
-        _check_student(manifest, tensors)
+        head = _check_student(manifest, tensors, config.feature_shape()[0])
+        for name, param in zip(_HEAD_TENSORS, head.params):
+            param.data = tensors[name].copy()
         enc = _load_encoder("encoder", config, tensors)
         store = PrototypeStore(ids=np.asarray(manifest["prototype_ids"], dtype=np.int64),
                                images=tensors["store.images"].copy(),
                                labels=np.asarray(manifest["prototype_labels"], dtype=np.int64),
                                born=tensors["store.born"].astype(np.int64))
-        head = HeadModel(kind=manifest["head_kind"],
-                         w=Tensor(tensors["head.w"].copy(), requires_grad=True),
-                         b=Tensor(tensors["head.b"].copy(), requires_grad=True),
-                         conv1d_w=Tensor(tensors["head.conv1d_w"].copy(), requires_grad=True)
-                         if "head.conv1d_w" in tensors else None)
         student = StudentModel(encoder=enc, head=head, store=store,
                                class_count=int(manifest["class_count"]))
     student.refresh_store_features()

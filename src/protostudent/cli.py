@@ -59,7 +59,7 @@ def _replacement_config(cfg: RunConfig) -> ReplacementConfig:
 
 
 def _lrp_params(cfg: RunConfig) -> X.LrpParams:
-    return X.LrpParams(alpha=cfg.lrp_alpha, beta=cfg.lrp_beta, epsilon=cfg.lrp_epsilon)
+    return X.LrpParams(alpha=cfg.lrp_alpha, epsilon=cfg.lrp_epsilon)
 
 
 def _at_most(name: str, value: int, limit: int, what: str):
@@ -288,7 +288,9 @@ def main(argv=None) -> int:
         print(f"config error: cannot read config ({err})", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        # a diverging run reports itself in one line, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](cfg)
     except (TrainingError, X.PropagationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

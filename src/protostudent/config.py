@@ -62,8 +62,7 @@ class RunConfig:
     lambda3: float = 0.1
     p_fraction: float = 0.3
     # relevance
-    lrp_alpha: float = 1.7
-    lrp_beta: float = 0.7
+    lrp_alpha: float = 1.7              # beta is alpha - 1
     lrp_epsilon: float = 1e-3
     topk: int = 3
     # outlier / perturbation / pruning
@@ -91,10 +90,8 @@ class RunConfig:
             raise ConfigError("protos_per_class", "must be >= 1")
         if not 0.0 <= self.p_fraction < 1.0:
             raise ConfigError("p_fraction", "must be in [0, 1)")
-        if abs(self.lrp_alpha - self.lrp_beta - 1.0) > 1e-12:
-            raise ConfigError("lrp_alpha", "alpha - beta must equal 1")
-        if self.lrp_alpha <= 0 or self.lrp_beta < 0:
-            raise ConfigError("lrp_alpha", "need alpha > 0 and beta >= 0")
+        if not 1.0 <= self.lrp_alpha < float("inf"):
+            raise ConfigError("lrp_alpha", "must be finite and >= 1 (beta is alpha - 1)")
         if self.dataset_family not in ("primary", "alt"):
             raise ConfigError("dataset_family", "must be primary or alt")
         if self.outlier_setup not in ("A", "B", "C"):

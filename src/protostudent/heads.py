@@ -27,6 +27,8 @@ positions (III-B) or the aligned ones.
 `StudentModel.forward` is the one inference forward, with rows that do
 not depend on the batch. Its record's `u` gives the similarity scores
 that both rank the prototypes explaining a prediction and score outliers.
+Only this module decides what a head kind computes: other modules read
+the record's fields or compare with `make_head`.
 """
 from __future__ import annotations
 
@@ -98,7 +100,8 @@ class SimilarityRecord:
     index on ties, and are constants with respect to the graph. Head III's
     attended vector over channels is not recorded: `tensor.attended_score`
     gives z without it, and the relevance code rebuilds it per pair from
-    attn, attn_p, argmax_p, fx_raw and fp_raw.
+    weights, z_argmax_p, fx_raw and fp_raw. s_raw is set for Head I only,
+    weights for Head III only.
     """
     kind: str
     hw_shape: tuple
@@ -114,8 +117,9 @@ class SimilarityRecord:
     argmax_x: np.ndarray | None = None  # [B, K, HW] best input position per prototype position (III-C)
     attn: Tensor | None = None         # [B, K, HW] attention over input positions (III)
     attn_p: Tensor | None = None       # [B, K, HW] attention over prototype positions (III-C)
-    norms_x: Tensor | None = None      # [B, HW] squared norms of normalized input columns
-    norms_p: Tensor | None = None      # [K, HW]
+    weights: Tensor | None = None      # [B, K, HW] position weights of z: attn (III-A/B),
+                                       # attn * attn_p (III-C)
+    z_argmax_p: np.ndarray | None = None  # argmax_p where z reads it (II-B, III-B)
     fxh: Tensor | None = None          # [B, C, HW] normalized input features
     fph: Tensor | None = None          # [K, C, HW]
     fx_raw: Tensor | None = None       # [B, C, HW]
@@ -124,25 +128,19 @@ class SimilarityRecord:
     @property
     def u(self) -> np.ndarray:
         """Per-prototype similarity scores [B, K], in [0, 1] for nonnegative
-        features: z where no attention was recorded (Heads I, II), else the
-        attended cosine map attn * cos averaged over positions (III-A/B),
-        or, with prototype attention (III-C), attn * attn_p * cos at its
-        spatial max."""
-        if self.attn is None:
+        features: z where no position weights were recorded (Heads I, II),
+        else the weighted cosine map weights * cos averaged over positions
+        (III-A/B, weights = attn), or, with prototype attention (III-C,
+        weights = attn * attn_p), at its spatial max."""
+        if self.weights is None:
             return self.z.data
-        if self.attn_p is None:
-            return (self.attn.data * self.cos.data).mean(axis=2)
-        return (self.attn.data * self.attn_p.data * self.cos.data).max(axis=2)
+        weighted = self.weights.data * self.cos.data
+        return weighted.mean(axis=2) if self.attn_p is None else weighted.max(axis=2)
 
 
 def _flatten_spatial(t: Tensor) -> Tensor:
     n, c, h, w = t.shape
     return T.reshape(t, (n, c, h * w))
-
-
-def _squared_column_norms(fh: Tensor) -> Tensor:
-    # [*,C,HW] -> [*,HW]; equals 1 where the column was normalized, 0 where dead
-    return T.tsum(T.square(fh), axis=1)
 
 
 def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
@@ -181,21 +179,20 @@ def head_forward(x_features: Tensor, store, model: HeadModel) -> tuple:
     fxh = T.l2_normalize(fx_flat, axis=1)
     fph = T.l2_normalize(fp_flat, axis=1)
     rec = SimilarityRecord(kind=kind, hw_shape=hw_shape, z=None,
-                           norms_x=_squared_column_norms(fxh),
-                           norms_p=_squared_column_norms(fph),
                            fxh=fxh, fph=fph, fx_raw=fx_flat, fp_raw=fp_flat)
     rec.cos, rec.argmax_p, rec.cos_p, rec.argmax_x = T.matched_cosine(fxh, fph, _MATCH[kind])
     if kind in ("II-A", "II-B"):
+        rec.z_argmax_p = rec.argmax_p
         rec.z = T.tmean(rec.cos, axis=2)
         return T.linear(rec.z, model.w, model.b), rec
 
-    rec.attn = T.softmax(rec.cos, axis=2)
-    weights = rec.attn
+    rec.attn = rec.weights = T.softmax(rec.cos, axis=2)
     if kind == "III-C":
         rec.attn_p = T.softmax(rec.cos_p, axis=2)
-        weights = T.mul(rec.attn, rec.attn_p)
-    rec.z = T.attended_score(weights, fx_flat, fp_flat, model.conv1d_w,
-                             rec.argmax_p if kind == "III-B" else None)
+        rec.weights = T.mul(rec.attn, rec.attn_p)
+    else:
+        rec.z_argmax_p = rec.argmax_p
+    rec.z = T.attended_score(rec.weights, fx_flat, fp_flat, model.conv1d_w, rec.z_argmax_p)
     return T.linear(rec.z, model.w, model.b), rec
 
 

@@ -4,7 +4,8 @@ distance terms.
 The distance terms are evaluated through the squared-distance expansion
 ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b over normalized feature columns,
 which lets them share the cosine maps the head forward pass already
-produces instead of materializing per-pair difference tensors.
+produces instead of materializing per-pair difference tensors. The term
+follows the record's fields (s_raw, argmax_p, cos_p), not its head kind.
 `cross_entropy` on integer labels is the teacher's whole loss; the module
 imports only `tensor` and `optim`, so `encoder` can call it.
 """
@@ -95,26 +96,29 @@ def _gather_bk(t: Tensor, arg: np.ndarray, axis_of_t: str) -> Tensor:
 def j_from_record(rec, labels_x, labels_p) -> Tensor:
     """Head-appropriate distance objective from a `heads.SimilarityRecord`.
 
-    Head I compares pooled vectors through their recorded cosines s_raw.
-    Every other head averages column distances over input positions, each
-    input column against its matched prototype column (the same position,
-    or argmax_p where recorded); III-C adds the prototype-side term over
-    its column maxima.
+    Head I (the record with s_raw) compares pooled vectors through their
+    recorded cosines s_raw. Every other head averages column distances
+    over input positions, each input column against its matched prototype
+    column (the same position, or argmax_p where recorded); a record with
+    column maxima cos_p (III-C) adds the prototype-side term over them.
     """
-    if rec.kind == "I":
+    if rec.s_raw is not None:
         nx = T.tsum(T.square(rec.gxh), axis=1)
         np_ = T.tsum(T.square(rec.gph), axis=1)
         return _signed_mean(_pair_sq_dist(nx, np_, rec.s_raw), labels_x, labels_p)
     b, k, hw = rec.cos.shape
-    np_sel = (T.reshape(rec.norms_p, (1, k, hw)) if rec.argmax_p is None
-              else _gather_bk(rec.norms_p, rec.argmax_p, "p"))
-    d_x = T.tmean(T.add(T.add(T.reshape(rec.norms_x, (b, 1, hw)), np_sel),
+    # squared column norms: 1 where the column was normalized, 0 where dead
+    norms_x = T.tsum(T.square(rec.fxh), axis=1)   # [B, HW]
+    norms_p = T.tsum(T.square(rec.fph), axis=1)   # [K, HW]
+    np_sel = (T.reshape(norms_p, (1, k, hw)) if rec.argmax_p is None
+              else _gather_bk(norms_p, rec.argmax_p, "p"))
+    d_x = T.tmean(T.add(T.add(T.reshape(norms_x, (b, 1, hw)), np_sel),
                         T.mul(rec.cos, -2.0)), axis=2)
     j = _signed_mean(d_x, labels_x, labels_p)
     if rec.cos_p is None:
         return j
-    nx_sel = _gather_bk(rec.norms_x, rec.argmax_x, "x")
-    d_p = T.tmean(T.add(T.add(nx_sel, T.reshape(rec.norms_p, (1, k, hw))),
+    nx_sel = _gather_bk(norms_x, rec.argmax_x, "x")
+    d_p = T.tmean(T.add(T.add(nx_sel, T.reshape(norms_p, (1, k, hw))),
                         T.mul(rec.cos_p, -2.0)), axis=2)
     return T.add(j, _signed_mean(d_p, labels_x, labels_p))
 

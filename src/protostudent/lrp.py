@@ -34,8 +34,10 @@ do not depend on the batch, one recorded encoder forward over the N
 inputs plus the distinct selected prototypes (a prototype several images
 share is encoded once), and one relevance sweep over the 2·N·k stacked
 sides. The similarity layer's relevance and its split onto the two
-feature maps are one vectorized computation over all pairs; the spatial
-heads differ only in the record fields a small table names.
+feature maps are one vectorized computation over all pairs. The head
+kind is never read: the record's fields tell the heads apart (s_raw for
+Head I, position weights for Head III, z_argmax_p where the prototype
+side is read at matched positions).
 """
 from __future__ import annotations
 
@@ -50,9 +52,6 @@ from . import imagefiles
 from .heads import StudentModel
 from .tensor import DimensionError, _col2im, _im2col_plan
 
-_ALPHA_DEFAULT = 1.7
-_BETA_DEFAULT = 0.7
-_EPS_DEFAULT = 1e-3
 # images per relevance core call in explain; bounds the stacked sides'
 # working set
 CHUNK = 8
@@ -64,15 +63,18 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LrpParams:
-    alpha: float = _ALPHA_DEFAULT
-    beta: float = _BETA_DEFAULT
-    epsilon: float = _EPS_DEFAULT
+    """Conv layers weigh positive contributions by alpha and negative ones
+    by beta = alpha - 1; epsilon stabilizes the other layers."""
+    alpha: float = 1.7
+    epsilon: float = 1e-3
 
     def __post_init__(self):
-        if abs(self.alpha - self.beta - 1.0) > 1e-12:
-            raise ValueError("alpha - beta must equal 1")
-        if self.alpha <= 0 or self.beta < 0:
-            raise ValueError("need alpha > 0 and beta >= 0")
+        if not 1.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and >= 1 (beta = alpha - 1 >= 0)")
+
+    @property
+    def beta(self) -> float:
+        return self.alpha - 1.0
 
 
 @dataclass
@@ -191,43 +193,27 @@ def _avgpool_lrp(features: np.ndarray, r_pooled: np.ndarray, eps: float) -> np.n
     return features / (h * w) * factor[:, :, None, None]
 
 
-# Every spatial head's z_k is a weighted sum over one similarity layer whose
-# entries are bilinear in the two feature maps: the matched cosine over
-# positions (Head II, z = mean) or the attended vector over channels (Head
-# III, z = v . attended). Per kind: the record field holding that layer
-# (Head III records none: its attended vector is rebuilt per pair as the
-# position sum of the weighted feature products), the feature pair, the
-# position weights multiplied in, and whether the prototype side is read at
-# each input position's best prototype position. III-C records argmax_p
-# too, but its attended contraction is aligned.
-_BILINEAR = {
-    "II-A": ("cos", "fxh", "fph", (), False),
-    "II-B": ("cos", "fxh", "fph", (), True),
-    "III-A": (None, "fx_raw", "fp_raw", ("attn",), False),
-    "III-B": (None, "fx_raw", "fp_raw", ("attn",), True),
-    "III-C": (None, "fx_raw", "fp_raw", ("attn", "attn_p"), False),
-}
-
-
 def _bilinear_entries(rec, ix: np.ndarray, kp: np.ndarray) -> tuple:
     """The similarity layer of a spatial head for every pair (input ix[j],
-    prototype kp[j]) of a batched record: (s, prod, sel). prod [P,C,HW] are
-    the weighted feature products; s is their sum over the axis the layer
-    does not span, the matched cosine [P,1,HW] (Head II, read from the
-    record) or the attended vector [P,C,1] (Head III, rebuilt); sel [P,1,HW]
-    are the matched prototype positions, or None when aligned."""
-    layer, x_field, p_field, weights, matched = _BILINEAR[rec.kind]
-    fp = getattr(rec, p_field).data[kp]
+    prototype kp[j]) of a batched record: (s, prod, sel). z_k is a weighted
+    sum over that layer, whose entries are bilinear in the two feature
+    maps. A record without position weights (Head II, z = mean) has the
+    matched cosine [P,1,HW] over fxh and fph as its layer, read from the
+    record; one with weights (Head III, z = v . attended) has the attended
+    vector [P,C,1] over fx_raw and fp_raw, rebuilt as the position sum of
+    the weighted feature products prod [P,C,HW]. sel [P,1,HW] are the
+    matched prototype positions z reads (z_argmax_p), or None when aligned.
+    """
+    head2 = rec.weights is None
+    fx, fp = (rec.fxh, rec.fph) if head2 else (rec.fx_raw, rec.fp_raw)
+    fp = fp.data[kp]
     sel = None
-    if matched:
-        sel = rec.argmax_p[ix, kp][:, None, :]
+    if rec.z_argmax_p is not None:
+        sel = rec.z_argmax_p[ix, kp][:, None, :]
         fp = np.take_along_axis(fp, sel, axis=2)
-    a = 1.0
-    for name in weights:
-        a = a * getattr(rec, name).data[ix, kp][:, None, :]
-    prod = a * getattr(rec, x_field).data[ix] * fp
-    if layer:
-        return getattr(rec, layer).data[ix, kp][:, None, :], prod, sel
+    if head2:
+        return rec.cos.data[ix, kp][:, None, :], fx.data[ix] * fp, sel
+    prod = rec.weights.data[ix, kp][:, None, :] * fx.data[ix] * fp
     return prod.sum(axis=2, keepdims=True), prod, sel
 
 
@@ -254,7 +240,7 @@ def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndar
     r_z = np.where(den != 0.0,
                    z * student.head.w.data[c_star, kp] / np.where(den != 0.0, den, 1.0) * r_top,
                    0.0)
-    if rec.kind == "I":
+    if rec.s_raw is not None:   # Head I
         factor = _safe_ratio(r_z, _stab(rec.s_raw.data[ix, kp], eps))
         r_g = rec.gxh.data[ix] * rec.gph.data[kp] * factor[:, None]
         # same products on both sides; they diverge through the pooling
@@ -276,7 +262,7 @@ def _similarity_relevance(student: StudentModel, rec, y: np.ndarray, ix: np.ndar
         flat = np.arange(n_pairs * c).reshape(n_pairs, c, 1) * (h * w) + sel
         r_fp = np.bincount(flat.ravel(), weights=r_fx.ravel(),
                            minlength=r_fx.size).reshape(r_fx.shape)
-    shape = rec.hw_shape if _BILINEAR[rec.kind][0] else (-1,)
+    shape = rec.hw_shape if rec.weights is None else (-1,)
     return (r_sim.reshape(n_pairs, *shape), r_fx.reshape(n_pairs, -1, h, w),
             r_fp.reshape(n_pairs, -1, h, w))
 

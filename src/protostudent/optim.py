@@ -13,15 +13,22 @@ class TrainingError(RuntimeError):
 
 def batches(ids: np.ndarray, batch_size: int, iterations: int | None,
             rng: np.random.Generator):
-    """One epoch of minibatches of `ids`: one permutation sliced in order,
-    batch `it` from (it * batch_size) mod len(ids), cut at the end, so
-    `iterations` batches wrap around; None means one pass."""
+    """One epoch of minibatches of `ids`. None for `iterations` means one
+    pass: one permutation sliced in order, the last batch cut short.
+    Otherwise `iterations` full batches of min(batch_size, len(ids)) rows:
+    a permutation sliced in order, and a fresh one wherever the next batch
+    would run past its end, so no batch is short or repeats a row."""
     order = rng.permutation(len(ids))
     if iterations is None:
-        iterations = (len(ids) + batch_size - 1) // batch_size
-    for it in range(iterations):
-        lo = (it * batch_size) % len(ids)
-        yield ids[order[lo:lo + batch_size]]
+        for lo in range(0, len(ids), batch_size):
+            yield ids[order[lo:lo + batch_size]]
+        return
+    size, lo = min(batch_size, len(ids)), 0
+    for _ in range(iterations):
+        if lo + size > len(ids):
+            order, lo = rng.permutation(len(ids)), 0
+        yield ids[order[lo:lo + size]]
+        lo += size
 
 
 class SGD:

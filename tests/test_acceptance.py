@@ -202,8 +202,8 @@ class TestCriterion3LrpConservation:
     def test_exact_at_eps_zero_and_bounded_at_defaults(self):
         t0 = time.time()
         student = _bias_free_toy(0)
-        exact = LrpParams(1.7, 0.7, 0.0)
-        defaults = LrpParams(1.7, 0.7, 1e-3)
+        exact = LrpParams(epsilon=0.0)
+        defaults = LrpParams(epsilon=1e-3)
         rng = np.random.default_rng(3)
         worst_exact = 0.0
         worst_default = 0.0

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from protostudent.checkpoint import (MAGIC, CorruptCheckpointError,
+from protostudent.checkpoint import (MAGIC, CorruptCheckpointError, _read, _write,
                                      load_student, load_teacher, save_student,
                                      save_teacher)
 from protostudent.encoder import EncoderConfig, train_teacher
 
 from conftest import micro_student
+
+# the encoder of an 8x8 RGB run with `encoder_blocks` [[3, 3, 2]]
+CLI_ENCODER = EncoderConfig(in_channels=3, blocks=((3, 3, 2),), input_size=(8, 8))
 
 
 def tiny_teacher():
@@ -266,6 +269,46 @@ class TestSelfConsistency:
         path = self._edit(tmp_path, lambda m: m.update(head_kind="IV"))
         with pytest.raises(CorruptCheckpointError, match="unknown head kind 'IV'"):
             load_student(path)
+
+    @staticmethod
+    def _rewrite_tensor(path, name, change):
+        """Rewrite the file with one tensor changed, through the writer
+        itself, so the CRC and the manifest's shapes are valid."""
+        manifest, tensors = _read(path)
+        tensors[name] = change(tensors[name])
+        _write(path, manifest, tensors)
+
+    @pytest.mark.parametrize("kind,name,change", [
+        ("II-B", "head.b", lambda b: b[:1]),
+        ("III-A", "head.conv1d_w", lambda v: np.ones(7)),
+        ("III-C", "head.w", lambda w: w[:, :3]),
+    ], ids=["one-entry-bias", "conv1d_w-length", "head.w-columns"])
+    def test_head_tensor_shape_against_make_head_rejected(self, tmp_path, kind, name, change):
+        """A bias of one entry would broadcast over every class, and a
+        channel kernel of the wrong length would only fail at the first
+        forward, as a configuration error."""
+        path = tmp_path / "s.ckpt"
+        save_student(path, micro_student(kind, seed=5))
+        self._rewrite_tensor(path, name, change)
+        with pytest.raises(CorruptCheckpointError, match=f"^{name} has shape"):
+            load_student(path)
+
+    @pytest.mark.parametrize("name,change", [("head.b", lambda b: b[:1]),
+                                             ("head.conv1d_w", lambda v: np.ones(7))],
+                             ids=["head.b", "head.conv1d_w"])
+    def test_cli_maps_bad_head_tensor_to_input_error(self, tmp_path, capsys, name, change):
+        from protostudent.cli import main
+        out = tmp_path / "out"
+        out.mkdir()
+        save_student(out / "student.ckpt", micro_student("III-B", seed=5, config=CLI_ENCODER))
+        self._rewrite_tensor(out / "student.ckpt", name, change)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(out), "classes": 2, "n_per_class": 2,
+                                   "n_test_per_class": 2, "image_size": 8,
+                                   "encoder_blocks": [[3, 3, 2]]}))
+        assert main(["explain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"input error: {name} has shape")
 
     def test_cli_maps_inconsistent_checkpoint_to_exit_2(self, tmp_path, capsys):
         from protostudent.cli import main

@@ -3,7 +3,10 @@ reproducibility at tiny scale."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,9 +60,16 @@ class TestConfigValidation:
         assert main(["train-teacher", "--config", str(path)]) == 2
         assert "nonsense_knob" in capsys.readouterr().err
 
-    def test_alpha_beta_constraint(self, tmp_path):
-        path = write_config(tmp_path, lrp_alpha=2.0, lrp_beta=0.7)
-        assert main(["train-teacher", "--config", str(path)]) == 2
+    def test_alpha_beta_constraint(self, tmp_path, capsys):
+        """beta is alpha - 1, so lrp_beta is an unknown field, and an
+        alpha below 1 (a negative beta) is refused."""
+        for fields, name in (({"lrp_alpha": 2.0, "lrp_beta": 1.0}, "lrp_beta"),
+                             ({"lrp_alpha": 0.5}, "lrp_alpha")):
+            path = write_config(tmp_path, **fields)
+            assert main(["train-teacher", "--config", str(path)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert f"'{name}'" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_policy_is_not_a_setting(self, tmp_path, capsys):
         """perturb-eval always runs both policies, so a config "policy"
@@ -106,7 +116,7 @@ class TestConfigValidation:
         assert (cfg.lr_head, cfg.lr_encoder) == (1e-3, 1e-4)
         assert (cfg.momentum, cfg.weight_decay) == (0.9, 1e-4)
         assert (cfg.lr_step_epochs, cfg.lr_gamma) == (10, 0.1)
-        assert (cfg.lrp_alpha, cfg.lrp_beta, cfg.lrp_epsilon) == (1.7, 0.7, 1e-3)
+        assert (cfg.lrp_alpha, cfg.lrp_epsilon) == (1.7, 1e-3)
         assert cfg.p_fraction == 0.3
 
 
@@ -327,6 +337,22 @@ def test_diverging_teacher_exit_3_one_line_no_artifacts(tmp_path, capsys):
     assert "at epoch 0 iteration" in err
     for name in ("teacher.ckpt", "teacher_report.json"):
         assert not (tmp_path / "out" / name).exists()
+
+
+def test_diverging_teacher_one_stderr_line_in_a_real_process(tmp_path):
+    """In a process of its own, where no test runner records numpy's
+    overflow and invalid-value warnings, stderr still holds the one
+    `numerical failure:` line."""
+    path = write_config(tmp_path, n_per_class=4, n_test_per_class=2, image_size=16,
+                        batch_size=4, teacher_lr=1e300)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-m", "protostudent.cli", "train-teacher",
+                          "--config", str(path)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.startswith("numerical failure: ") and len(run.stderr.splitlines()) == 1
 
 
 def test_prune_keeps_a_class_that_swaps_put_at_the_bottom(tmp_path):

@@ -197,9 +197,8 @@ class TestHeadForward:
         logits, rec = student.forward(student.store.images[0:1])
         assert logits.data[0, 0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("head_kind", ["III-A", "III-B", "III-C"])
     def test_head3_zero_conv_weights_gives_bias(self, head_kind):
-        if not head_kind.startswith("III"):
-            pytest.skip("conv kernel only exists for the attention heads")
         student = micro_student(head_kind, seed=1)
         student.head.conv1d_w.data[...] = 0.0
         rng = np.random.default_rng(2)
@@ -304,7 +303,7 @@ class TestHeadForward:
 
 # the record fields that hold one row per input image
 PER_IMAGE = ("z", "s_raw", "gxh", "cos", "cos_p", "argmax_p", "argmax_x", "attn", "attn_p",
-             "norms_x", "fxh", "fx_raw")
+             "weights", "z_argmax_p", "fxh", "fx_raw")
 
 
 class TestInferenceForward:

@@ -2,8 +2,8 @@
 imports inside a function or class, reads an environment variable, draws
 random numbers that no seed fixes, writes into a gradient buffer in
 place, applies a separate ReLU to a conv2d result, writes a file other
-than through `imagefiles.write_file` or defines a name that only tests
-call.
+than through `imagefiles.write_file`, defines a name that only tests
+call or names a head kind outside `heads.py`.
 
 No linter runs on this repository, so these `ast` walks are the guard.
 """
@@ -12,6 +12,8 @@ import tomllib
 from pathlib import Path
 
 import pytest
+
+from protostudent.heads import HEAD_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "protostudent"
@@ -359,6 +361,41 @@ def test_file_write_checker_flags_writes_outside_the_writer():
         (9, "path.write_text(text)"), (10, "path.write_bytes(blob)"),
         (11, "os.open(path, os.O_RDONLY)")]
     assert [line for line, _ in file_writes(source)] == [3, 5, 7, 8, 9, 10, 11]
+
+
+def head_kind_literals(source: str, exempt_field: str | None = None) -> list:
+    """(line, value) of every string constant that names a head kind or
+    a head family ("II", "III"), except the default of an annotated field
+    named `exempt_field`. What a kind computes is decided in `heads.py`;
+    every other module reads the record's fields or asks `make_head`."""
+    tree = ast.parse(source)
+    exempt = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name) and node.target.id == exempt_field}
+    names = set(HEAD_KINDS) | {"II", "III"}
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names and id(node) not in exempt)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "heads.py"],
+                         ids=lambda p: p.name)
+def test_no_head_kind_literals(path):
+    """`RunConfig.head`'s default is the one kind named outside `heads.py`."""
+    exempt = "head" if path.name == "config.py" else None
+    assert head_kind_literals(path.read_text(), exempt) == []
+
+
+def test_head_kind_checker_flags_kind_names():
+    source = ("class RunConfig:\n"
+              "    head: str = 'II-B'\n"
+              "    other: str = 'III-C'\n"
+              "def relevance(rec, kind):\n"
+              "    if rec.kind == 'I' or kind.startswith('III'):\n"
+              "        return {'II-A': 1, 'II': 2}\n"
+              "    return 'I ' + 'IV' + 'aligned'\n")
+    assert head_kind_literals(source, "head") == [
+        (3, "III-C"), (5, "I"), (5, "III"), (6, "II"), (6, "II-A")]
+    assert head_kind_literals(source)[0] == (2, "II-B")
 
 
 def name_occurrences(source: str) -> list:

@@ -24,11 +24,13 @@ from oracles import encode, lrp_linear_eps
 
 class TestLrpParams:
     def test_alpha_beta_constraint(self):
-        LrpParams(1.7, 0.7, 1e-3)
-        with pytest.raises(ValueError):
-            LrpParams(1.5, 0.7, 1e-3)
-        with pytest.raises(ValueError):
-            LrpParams(0.5, -0.5, 1e-3)
+        """beta is alpha - 1, not a parameter, so alpha - beta = 1 always
+        holds; alpha below 1 (a negative beta) or non-finite is refused."""
+        assert LrpParams().beta == 0.7 and LrpParams(1.0).beta == 0.0
+        assert LrpParams(2.5, 1e-2) == LrpParams(alpha=2.5, epsilon=1e-2)
+        for alpha in (0.5, 1.0 - 1e-12, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                LrpParams(alpha)
 
 
 class TestLinearEps:
@@ -126,7 +128,7 @@ class TestConvAlphaBeta:
         h2 = (h + 2 * pad - kh) // stride + 1
         w2 = (w + 2 * pad - kw) // stride + 1
         r_out = rng.standard_normal((n, f, h2, w2))
-        params = LrpParams(1.7, 0.7, 1e-3)
+        params = LrpParams(epsilon=1e-3)
         got = lrp_conv_alphabeta(a, kernel, bias, r_out, params, stride, pad)
         assert got.shape == a.shape
         for i in range(n):
@@ -200,7 +202,7 @@ class TestConvAlphaBeta:
         with T.no_grad():
             out = T.conv2d(Tensor(a), Tensor(k)).data
         r_out = rng.random(out.shape)
-        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(1.7, 0.7, 0.0), 1, 0)
+        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(epsilon=0.0), 1, 0)
         assert r_in.sum() == pytest.approx(r_out.sum(), abs=1e-9)
 
     def test_alpha_one_uses_positive_parts_only(self):
@@ -208,7 +210,7 @@ class TestConvAlphaBeta:
         a = rng.random((1, 1, 2, 2))
         k = rng.standard_normal((1, 1, 2, 2))
         r_out = np.ones((1, 1, 1, 1))
-        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(1.0, 0.0, 0.0), 1, 0)
+        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(1.0, epsilon=0.0), 1, 0)
         contrib = a[0, 0] * k[0, 0]
         pos = np.maximum(contrib, 0)
         want = pos / pos.sum() if pos.sum() > 0 else np.zeros_like(pos)
@@ -220,7 +222,7 @@ class TestConvAlphaBeta:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((1, 1, 2, 2))
         k = rng.standard_normal((2, 1, 2, 2))
-        params = LrpParams(1.7, 0.7, 0.0)
+        params = LrpParams(epsilon=0.0)
         with T.no_grad():
             out = T.conv2d(Tensor(a), Tensor(k)).data
         r_out = rng.random(out.shape)
@@ -248,7 +250,7 @@ class TestConvAlphaBeta:
         with T.no_grad():
             out = T.conv2d(Tensor(a), Tensor(k), stride=2, pad=1).data
         r_out = rng.random(out.shape)
-        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(1.7, 0.7, 0.0), 2, 1)
+        r_in = lrp_conv_alphabeta(a, k, None, r_out, LrpParams(epsilon=0.0), 2, 1)
         assert r_in.sum() == pytest.approx(r_out.sum(), rel=1e-9)
 
 
@@ -268,7 +270,7 @@ class TestRelevanceAtSimilarity:
         student = bias_free_student("I", seed=1, k=1)
         student.head.w.data[...] = 1.0
         x = student.store.images[0]
-        r_sim = heatmaps(student, x, 0, LrpParams(1.7, 0.7, 0.0)).r_sim
+        r_sim = heatmaps(student, x, 0, LrpParams(epsilon=0.0)).r_sim
         y = student.predict_logits(x[None])[0]
         assert r_sim[0] == pytest.approx(y.max(), rel=1e-9)
 
@@ -305,7 +307,7 @@ class TestHeatmaps:
     def test_self_pair_symmetric_maps(self):
         student = bias_free_student("I", seed=8, k=1)
         x = student.store.images[0]
-        pair = heatmaps(student, x, 0, LrpParams(1.7, 0.7, 0.0))
+        pair = heatmaps(student, x, 0, LrpParams(epsilon=0.0))
         np.testing.assert_allclose(pair.heat_input, pair.heat_proto, atol=1e-10)
 
     def test_zero_relevance_zero_maps(self):
@@ -335,7 +337,7 @@ class TestHeatmaps:
         """Bias-free toy at eps=0: pixel relevance equals the prototype's
         share of the predicted logit exactly."""
         student = bias_free_student("II-A", seed=13, k=2)
-        params = LrpParams(1.7, 0.7, 0.0)
+        params = LrpParams(epsilon=0.0)
         rng = np.random.default_rng(14)
         for _ in range(5):
             x = rng.random((2, 4, 4))
@@ -350,7 +352,7 @@ class TestHeatmaps:
         """Max-head prototype routing keeps the per-pair total: relevance
         scattered onto the prototype grid equals the pair's share."""
         student = bias_free_student("II-B", seed=15, k=2)
-        params = LrpParams(1.7, 0.7, 0.0)
+        params = LrpParams(epsilon=0.0)
         x = np.random.default_rng(16).random((2, 4, 4))
         total = 0.0
         for k in range(2):
@@ -548,7 +550,7 @@ class TestExportPair:
             kern.data = np.abs(kern.data)
         student.refresh_store_features()
         x = np.random.default_rng(29).random((2, 4, 4))
-        for j, pair in enumerate(explain(student, x, topk=3, params=LrpParams(1.7, 0.7, 0.0))):
+        for j, pair in enumerate(explain(student, x, topk=3, params=LrpParams(epsilon=0.0))):
             export_pair(pair, tmp_path / f"pair{j}")
             for side in ("input", "proto"):
                 meta = json.loads((tmp_path / f"pair{j}_{side}.json").read_text())
